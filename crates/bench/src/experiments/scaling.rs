@@ -14,8 +14,8 @@
 //!
 //! Each engine row also records the merge-tree depth (`⌈log₂G⌉`) and the
 //! per-cell busy-time fractions, so load imbalance — the thing the
-//! balanced splitter plus work stealing exist to kill — is visible in the
-//! committed artifact. The acceptance gate
+//! balanced splitter exists to kill — is visible in the committed
+//! artifact. The acceptance gate
 //! ([`GATE_K8_FLOOR_ITEMS_PER_SEC`]) pins the 8-shard-cliff fix and the
 //! flattened K = 32 tail: the saturated R-TBS aggregate at K = 8 must
 //! clear twice the committed pre-fix row, K = 16 must not regress below
@@ -180,9 +180,8 @@ pub struct ScalingRow {
     /// (`⌈log₂K⌉`; 0 for K = 1 and for the `single_fast` reference).
     pub merge_tree_depth: usize,
     /// Each cell's share of the total busy time (`busy_g / Σ busy`,
-    /// sums to 1, one entry per cell). Balanced splits plus work
-    /// stealing should keep these near `1/G`; a hot cell shows up here
-    /// directly.
+    /// sums to 1, one entry per cell). Balanced splits should keep
+    /// these near `1/G`; a hot cell shows up here directly.
     pub shard_busy_fracs: Vec<f64>,
 }
 

@@ -300,15 +300,6 @@ pub trait MergeableSample: Sized {
     /// allocation survives for recycling). Monomorphized over the RNG.
     fn observe_shard<R: Rng + ?Sized>(&mut self, batch: &mut Vec<Self::Item>, rng: &mut R);
 
-    /// A copy of the shard-local state, cheap enough to take *inline* on
-    /// the ingest thread at a snapshot barrier so the expensive merge can
-    /// run off to the side while the shard keeps ingesting. The cost must
-    /// be bounded by the shard's sample footprint, never by the stream
-    /// length — for R-TBS that is `O(n_k)` (the latent sample holds at
-    /// most `n_k + 1` items), for T-TBS `O(|S_t^k|)`. Consumes no
-    /// randomness: the fork is bit-identical to the live state.
-    fn fork_for_merge(&self) -> Self;
-
     /// Total decayed stream weight `W_t` seen by this sampler, for
     /// schemes that track one (`None` for T-TBS, which needs no
     /// stream-level scalar state). On a merged sampler this is the
@@ -731,12 +722,6 @@ impl<T: Clone> MergeableSample for RTbs<T> {
         self.observe_drain(batch, rng);
     }
 
-    fn fork_for_merge(&self) -> Self {
-        // The clone copies the latent sample (≤ n_k + 1 items) and a few
-        // scalars — bounded by the shard capacity, not the stream.
-        self.clone()
-    }
-
     fn total_stream_weight(&self) -> Option<f64> {
         Some(self.total_weight())
     }
@@ -815,12 +800,6 @@ impl<T: Clone> MergeableSample for TTbs<T> {
 
     fn observe_shard<R: Rng + ?Sized>(&mut self, batch: &mut Vec<T>, rng: &mut R) {
         self.observe_drain(batch, rng);
-    }
-
-    fn fork_for_merge(&self) -> Self {
-        // The clone copies the current sample, whose size is held near the
-        // per-shard equilibrium `n·b_k/b` by the T-TBS dynamics.
-        self.clone()
     }
 
     fn total_stream_weight(&self) -> Option<f64> {

@@ -16,13 +16,11 @@
 //! ## Pipeline anatomy
 //!
 //! ```text
-//!              ┌────────────┐  work: BatchQueue<ShardMsg>  ┌─────────────┐
-//!  ingest() ──▶│  driver:   │ ───────────────────────────▶ │ shard cell 0│
-//!              │ balanced   │ ◀─────────────────────────── │ Mutex<R-TBS │
-//!              │   split    │  recycle: BatchQueue<Vec<T>> │  + own RNG> │
-//!              └────────────┘            …× N              └─────────────┘
-//!                                                  ▲ any idle worker may
-//!                                                  │ lock a cell & serve it
+//!              ┌────────────┐  work: BatchQueue<ShardMsg>  ┌──────────────┐
+//!  ingest() ──▶│  driver:   │ ───────────────────────────▶ │ owner thread │
+//!              │ balanced   │ ◀─────────────────────────── │ of cell k:   │
+//!              │   split    │  recycle: BatchQueue<Vec<T>> │ sampler, RNG │
+//!              └────────────┘            …× G              └──────────────┘
 //! ```
 //!
 //! * Batches are split deterministically by a
@@ -30,15 +28,12 @@
 //!   stays within **one item** of `W/K`, which licenses the `⌈n/K⌉ + 1`
 //!   adaptive shard capacity (see the `tbs_core::merge` module docs) and
 //!   keeps high-K shards on the saturated fast path.
-//! * **Work stealing**: a shard's sampler lives in a `Mutex`ed cell, not
-//!   in thread-local state. Each worker serves its own cell first, then
-//!   sweeps the other cells and drains any backlog it can lock. Because a
-//!   cell's queue is only drained *while holding the cell's lock*, every
-//!   logical shard still consumes its sub-stream in FIFO order with its
-//!   own sampler and RNG — so the realized sample is **bit-identical**
-//!   whether or not any stealing happened; only the thread that happened
-//!   to do the work differs. Determinism keys off the logical chunk
-//!   assignment, never off thread timing.
+//! * **One owner per cell**: each logical shard cell has exactly one
+//!   worker thread, which holds the cell's sampler, RNG substream and
+//!   batch count as plain locals and consumes the cell's queue in FIFO
+//!   order. The realized sample is therefore a pure function of the
+//!   logical chunk assignment, never of thread timing — and a dead
+//!   worker takes nothing but its own cell with it.
 //! * Consumed batch buffers flow back to the driver through a recycle
 //!   queue, so steady-state ingest performs **zero heap allocations**
 //!   beyond the caller-provided batch (verified by the engine's
@@ -46,16 +41,33 @@
 //! * Workers are spawned **once** at construction — no per-batch thread
 //!   spawn anywhere.
 //!
-//! ## Serving without stopping: snapshot barrier + merge tree
+//! ## One fork primitive
 //!
-//! `sample()` and `request_snapshot()` both route through the same
-//! epoch-snapshot protocol:
+//! Every cross-shard read is a **fork**: the driver enqueues a
+//! `Fork(ticket)` marker behind everything ingested so far, and each cell
+//! owner, on reaching it, flushes its counters, clones `(sampler, RNG
+//! state)` as its part, and refreshes its recovery fork record — then
+//! keeps ingesting. FIFO placement pins every fork to an exact batch
+//! boundary. What differs is only who assembles the parts:
+//!
+//! * **the merger**, under a driver header sent ahead of the markers, for
+//!   epoch publication ([`ParallelIngestEngine::request_snapshot`],
+//!   [`ParallelIngestEngine::sample`]) and asynchronous checkpoints
+//!   ([`ParallelIngestEngine::request_checkpoint`]);
+//! * **the driver itself**, waiting with the same supervised poll as
+//!   `sample`, for synchronous reads
+//!   ([`ParallelIngestEngine::save_parts`],
+//!   [`ParallelIngestEngine::snapshot_merged`], and
+//!   [`ParallelIngestEngine::quiesce`], whose fork is a pure fence that
+//!   clones nothing).
+//!
+//! ## Serving without stopping: epoch fork + merge tree
 //!
 //! ```text
-//!  request_snapshot() ──▶ Barrier(e) ──▶ shard k: fork_for_merge() ─┐
+//!  request_snapshot() ──▶ Fork(t) ──▶ cell k: clone (sampler, RNG) ──┐
 //!        │                (FIFO, so the fork lands exactly at the    │
 //!        │                 batch boundary of the request)            ▼
-//!        └── Request{e, driver-RNG state} ─────────────▶ ┌───────────────┐
+//!        └── Header{t, epoch, driver-RNG state} ───────▶ ┌───────────────┐
 //!                                                        │ merger thread │
 //!             leaf tasks: BatchQueue<(tree, leaf)> ◀──── │  builds the   │
 //!                 │ executed by idle shard workers       │  EpochTree    │
@@ -108,6 +120,10 @@ use tbs_core::frozen::FrozenSample;
 use tbs_core::merge::{BalancedSplitter, MergePlan, MergeScalars, MergeableSample, ShardSpec};
 use tbs_stats::rng::Xoshiro256PlusPlus;
 
+/// Poll slice of the driver's supervised waits: how long a wait may
+/// block before it checks the pipeline's pulse again.
+const SUPERVISE_SLICE: Duration = Duration::from_millis(25);
+
 /// What the engine should do when part of its pipeline dies (a shard
 /// worker or the merger panics, or a chunk delivery fails).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,14 +135,15 @@ pub enum RecoveryPolicy {
     #[default]
     Fail,
     /// Supervised recovery: each shard's state is recorded at every
-    /// barrier/checkpoint fork, the driver keeps a replay log of the
-    /// chunks it split since then, and on a fault the engine rebuilds the
-    /// whole pipeline from the fork records and replays the log —
+    /// fork (publish, checkpoint, or synchronous read), the driver keeps
+    /// a replay log of the chunks it split since then, and on a fault the
+    /// engine rebuilds the whole pipeline from the fork records and
+    /// replays the log —
     /// restoring **bit-identical** `(seed, K)` state, because splits and
     /// per-shard RNG substreams are deterministic. Costs one state clone
-    /// per shard per barrier plus one chunk clone per shard per batch;
-    /// the replay log is trimmed at each barrier/checkpoint, so publish
-    /// or checkpoint periodically to bound its memory.
+    /// per shard per fork plus one chunk clone per shard per batch; the
+    /// replay log is trimmed at each fork, so publish or checkpoint
+    /// periodically to bound its memory.
     RespawnFromBarrier,
 }
 
@@ -237,11 +254,9 @@ impl EngineConfig {
 /// Steady-state ingest counters for one shard, read with
 /// [`ParallelIngestEngine::shard_stats`].
 ///
-/// Counters are charged to the **logical shard** whose sub-stream was
-/// processed, regardless of which worker thread did the processing — a
-/// stolen drain shows up in the victim shard's `busy_ns`, so the scaling
-/// bench's per-shard busy fractions describe where the stream's work
-/// went, not which OS thread ran it.
+/// Counters are charged to the **logical shard cell** whose sub-stream
+/// was processed; each cell has exactly one owner thread, so they also
+/// describe that thread's ingest work. Each fork flushes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Items ingested by this shard.
@@ -265,67 +280,96 @@ enum ShardMsg<T> {
     /// One sub-batch to ingest (possibly empty — empty batches still
     /// advance the shard's decay clock).
     Batch(Vec<T>),
-    /// Reply with a clone of the shard sampler plus the shard RNG's
-    /// current 256-bit position (quiesces: FIFO order guarantees all
-    /// prior batches are absorbed first).
-    Snapshot,
-    /// Reply with an ack once everything queued ahead has been processed.
-    Sync,
-    /// Epoch-snapshot barrier: fork the shard state off to the merger
-    /// thread (no driver round-trip — the shard keeps ingesting).
-    Barrier(u64),
-    /// Checkpoint barrier: clone `(sampler, RNG state)` off to the merger,
-    /// which assembles generation `gen` once every shard reports. Like
-    /// `Barrier`, FIFO placement pins the checkpoint to an exact batch
-    /// boundary and the shard keeps ingesting.
-    CheckpointFork { gen: u64 },
+    /// Fork the shard at this batch boundary: flush the counters, send
+    /// `ticket`'s assembler a part — a clone of `(sampler, RNG state)`,
+    /// unless the ticket is a pure fence — and refresh the recovery fork
+    /// record. FIFO placement pins the fork to the exact batch boundary
+    /// of the request, and the shard keeps ingesting.
+    Fork(Ticket),
 }
 
-enum ShardResp<S> {
-    Snapshot(Box<(S, [u64; 4])>),
-    Ack,
+/// Where a fork's parts go, and whether they carry shard state.
+#[derive(Debug, Clone, Copy)]
+enum Ticket {
+    /// An epoch or checkpoint fork, assembled on the merger thread under
+    /// this ticket number.
+    Merger(u64),
+    /// A synchronous driver read, assembled by the waiting driver itself.
+    /// `state: false` is a pure FIFO fence (`quiesce`): it clones nothing,
+    /// so it stays allocation-free.
+    Driver { state: bool },
+}
+
+/// One cell's contribution to a fork.
+struct Part<S> {
+    cell: usize,
+    state: Option<Box<(S, [u64; 4])>>,
+}
+
+/// What the merger does with a fully assembled fork.
+#[derive(Debug, Clone, Copy)]
+enum Purpose {
+    /// Merge, realize, and publish as this epoch.
+    Publish(u64),
+    /// Hand the parts out as this asynchronous checkpoint generation.
+    Checkpoint(u64),
 }
 
 /// Messages flowing into the background merger thread. FIFO causality
-/// makes the per-epoch protocol race-free: the driver enqueues the
-/// `Request` *before* any shard can see the matching `Barrier`, so the
-/// merger always learns the replay RNG state before the forks arrive.
+/// makes the fork protocol race-free: the driver enqueues the `Header`
+/// *before* any shard can see the matching [`ShardMsg::Fork`], so the
+/// merger always holds a fork's header before its parts arrive.
 enum MergerMsg<S: MergeableSample> {
-    /// Driver-side epoch header: the RNG position the merge must replay
-    /// from (bit-identity with the exact path) and the batches-ingested
-    /// staleness stamp for the published metadata.
-    Request {
-        epoch: u64,
-        rng: [u64; 4],
-        batches: u64,
+    /// Driver-side fork header: the ticket, what to do with the result,
+    /// and the driver state the parts complete into an
+    /// [`EngineCheckpoint`].
+    Header {
+        ticket: u64,
+        purpose: Purpose,
+        assembly: Assembly<S>,
     },
-    /// One shard's forked state at the barrier.
-    Fork {
-        epoch: u64,
-        shard: usize,
-        state: Box<S>,
-    },
+    /// One cell's forked state.
+    Part { ticket: u64, part: Part<S> },
     /// A completed epoch realized by whichever worker finished the merge
     /// tree's root; the merger re-orders these into in-order publication.
     Publish {
         frozen: Box<FrozenSample<<S as MergeableSample>::Item>>,
     },
-    /// Driver-side checkpoint header: the driver state that, together
-    /// with the K shard forks, forms a complete [`EngineCheckpoint`].
-    /// Enqueued before the matching `CheckpointFork` barriers, so FIFO
-    /// causality delivers it first, exactly like `Request`.
-    CkptRequest {
-        gen: u64,
-        driver_rng: [u64; 4],
-        deviations: Vec<f64>,
-        batches: u64,
-    },
-    /// One shard's `(sampler, RNG state)` at checkpoint generation `gen`.
-    CkptFork {
-        gen: u64,
-        shard: usize,
-        state: Box<(S, [u64; 4])>,
-    },
+}
+
+/// One fork being assembled — by the merger for epoch and checkpoint
+/// forks, by the driver for synchronous reads. Starts as the driver-side
+/// header and completes into an [`EngineCheckpoint`] once every cell's
+/// part has arrived.
+struct Assembly<S> {
+    /// The driver RNG position (for an epoch: the merge replay position).
+    driver_rng: [u64; 4],
+    /// Split deviations (empty for forks that do not need them).
+    deviations: Vec<f64>,
+    /// Batches ingested at the fork.
+    batches: u64,
+    /// `(cell, state)` in arrival order; [`Assembly::finish`] sorts.
+    states: Vec<(usize, (S, [u64; 4]))>,
+    received: usize,
+}
+
+impl<S> Assembly<S> {
+    fn add(&mut self, part: Part<S>) {
+        self.received += 1;
+        if let Some(state) = part.state {
+            self.states.push((part.cell, *state));
+        }
+    }
+
+    fn finish(mut self) -> EngineCheckpoint<S> {
+        self.states.sort_unstable_by_key(|&(cell, _)| cell);
+        EngineCheckpoint {
+            shard_states: self.states.into_iter().map(|(_, state)| state).collect(),
+            driver_rng: self.driver_rng,
+            split_deviations: self.deviations,
+            batches: self.batches,
+        }
+    }
 }
 
 /// One epoch's merge tree, shared (via `Arc`) between the merger and the
@@ -357,28 +401,16 @@ struct EpochTree<S: MergeableSample> {
 /// A leaf-execution task: run `tree` starting from leaf `usize`.
 type TreeTask<S> = (Arc<EpochTree<S>>, usize);
 
-/// One logical shard's serving state: the sampler + RNG behind a lock so
-/// any worker can serve it, plus its queues and counters.
+/// One logical shard cell's queues and counters. The cell's sampler, RNG
+/// and batch count live on its one owner thread (see `shard_worker`).
 struct ShardCell<S: MergeableSample> {
-    core: Mutex<ShardCore<S>>,
     work: BatchQueue<ShardMsg<S::Item>>,
-    resp: BatchQueue<ShardResp<S>>,
     recycle: BatchQueue<Vec<S::Item>>,
     counters: ShardCounters,
 }
 
-struct ShardCore<S> {
-    sampler: S,
-    rng: Xoshiro256PlusPlus,
-    /// Data batches this logical shard has processed (== the driver's
-    /// `batches_ingested` once the shard catches up, since every ingest
-    /// sends one chunk to every shard). Positions fault-injection sites
-    /// and stamps recovery fork records.
-    seen: u64,
-}
-
-/// One shard's resumable state, recorded at every barrier/checkpoint fork
-/// (and once at spawn). Under [`RecoveryPolicy::RespawnFromBarrier`] the
+/// One shard's resumable state, recorded at every fork (and once at
+/// spawn). Under [`RecoveryPolicy::RespawnFromBarrier`] the
 /// driver rebuilds a dead pipeline from these plus its replay log.
 struct ForkRecord<S> {
     /// The shard's `seen` batch count at the fork.
@@ -394,6 +426,8 @@ struct EngineShared<S: MergeableSample> {
     tasks: BatchQueue<TreeTask<S>>,
     /// The merger thread's inbox.
     merger: BatchQueue<MergerMsg<S>>,
+    /// Parts of the one outstanding driver-read fork (capacity: cells).
+    replies: BatchQueue<Part<S>>,
     spec: ShardSpec,
     /// Per-worker queue depth (drained groups are bounded by this).
     depth: usize,
@@ -437,8 +471,8 @@ pub struct EngineCheckpoint<S> {
 ///
 /// See the [module docs](self) for the pipeline anatomy. The engine is
 /// deterministic: the realized sample is a pure function of
-/// `(seed, shard count, batch sequence)` — work stealing and merge-tree
-/// scheduling change which threads do the work, never the result.
+/// `(seed, shard count, batch sequence)` — merge-tree scheduling changes
+/// which threads do the work, never the result.
 pub struct ParallelIngestEngine<S: MergeableSample + Clone + Send + 'static>
 where
     S::Item: Send + Sync + 'static,
@@ -465,8 +499,6 @@ where
     driver_rng: Xoshiro256PlusPlus,
     /// Per-shard split buffers, refilled from the recycle queues.
     split: Vec<Vec<S::Item>>,
-    /// Responses are popped into this scratch vector (capacity 1).
-    resp_scratch: Vec<ShardResp<S>>,
     /// The config the pipeline was built from (recovery respawns reuse it).
     cfg: EngineConfig,
     /// Terminal failure, recorded once; every later call returns a clone.
@@ -475,6 +507,8 @@ where
     recoveries: u64,
     /// Generation assigned to the next checkpoint request (first is 1).
     next_ckpt_gen: u64,
+    /// Ticket of the next merger-assembled fork.
+    next_ticket: u64,
     /// Per-shard replay log `(global batch_no, chunk)` since the last
     /// fork record; only filled under `RespawnFromBarrier`.
     replay: Vec<VecDeque<(u64, Vec<S::Item>)>>,
@@ -594,25 +628,25 @@ where
             splitter,
             chunk_high_water: 0,
             driver_rng,
-            resp_scratch: Vec::with_capacity(1),
             cfg,
             failure: None,
             recoveries: 0,
             next_ckpt_gen: 1,
+            next_ticket: 0,
         }
     }
 
     /// The configured shard count K (the spec's declared parallelism;
     /// the engine spawns `min(K, G)` = [`Self::cells`] worker threads,
-    /// since at most one drain per cell can run at a time).
+    /// one owner per cell).
     pub fn shards(&self) -> usize {
         self.cfg.spec.shards
     }
 
     /// The logical shard cell count G ≤ K — equal to `shards()` unless
     /// shard grouping ([`ShardSpec::cells`]) collapsed small reservoirs,
-    /// in which case the declared K shards share the G cells through the
-    /// lock-before-drain protocol.
+    /// in which case the declared K shards share the G cells, one owner
+    /// thread each.
     pub fn cells(&self) -> usize {
         self.shared.cells.len()
     }
@@ -714,60 +748,7 @@ where
 
     /// Block until every shard has absorbed everything queued so far.
     pub fn quiesce(&mut self) -> Result<(), EngineError> {
-        self.check_alive()?;
-        loop {
-            match self.try_sync() {
-                Ok(()) => return Ok(()),
-                Err(cause) => self.incident(cause)?,
-            }
-        }
-    }
-
-    fn try_sync(&mut self) -> Result<(), EngineError> {
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            if cell.work.push(ShardMsg::Sync).is_err() {
-                return Err(EngineError::ShardDead { shard: i });
-            }
-        }
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            match pop_resp(i, cell, &mut self.resp_scratch)? {
-                ShardResp::Ack => {}
-                // INVARIANT: the driver runs one request protocol at a
-                // time, so a Sync can only be answered by an Ack.
-                ShardResp::Snapshot(_) => unreachable!("sync acked with a snapshot payload"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Quiesce and clone out every shard's `(sampler, RNG state)`, in
-    /// shard-id order (shards keep running; their live state is
-    /// untouched).
-    fn try_snapshot_shards(&mut self) -> Result<Vec<(S, [u64; 4])>, EngineError> {
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            if cell.work.push(ShardMsg::Snapshot).is_err() {
-                return Err(EngineError::ShardDead { shard: i });
-            }
-        }
-        let mut snapshots = Vec::with_capacity(self.shared.cells.len());
-        for (i, cell) in self.shared.cells.iter().enumerate() {
-            match pop_resp(i, cell, &mut self.resp_scratch)? {
-                ShardResp::Snapshot(s) => snapshots.push(*s),
-                // INVARIANT: one request protocol at a time (see try_sync).
-                ShardResp::Ack => unreachable!("snapshot request acked without payload"),
-            }
-        }
-        Ok(snapshots)
-    }
-
-    fn snapshot_shards(&mut self) -> Result<Vec<(S, [u64; 4])>, EngineError> {
-        self.check_alive()?;
-        loop {
-            match self.try_snapshot_shards() {
-                Ok(snaps) => return Ok(snaps),
-                Err(cause) => self.incident(cause)?,
-            }
-        }
+        self.fork_and_wait(false).map(drop)
     }
 
     /// Quiesce, snapshot every shard, and merge the snapshots into a
@@ -775,13 +756,14 @@ where
     /// state is untouched). The merge runs the canonical
     /// [`tbs_core::merge::merge_replay`] tree on the driver thread.
     pub fn snapshot_merged(&mut self) -> Result<S, EngineError> {
-        let snapshots = self
-            .snapshot_shards()?
+        let shards = self
+            .fork_and_wait(true)?
+            .shard_states
             .into_iter()
             .map(|(sampler, _)| sampler)
             .collect();
         Ok(S::merge_shards(
-            snapshots,
+            shards,
             &self.shared.spec,
             &mut self.driver_rng,
         ))
@@ -794,64 +776,114 @@ where
     /// so checkpointing mid-stream leaves the trajectory untouched;
     /// [`ParallelIngestEngine::from_parts`] resumes bit-identically.
     pub fn save_parts(&mut self) -> Result<EngineCheckpoint<S>, EngineError> {
-        Ok(EngineCheckpoint {
-            shard_states: self.snapshot_shards()?,
-            driver_rng: self.driver_rng.state(),
-            split_deviations: self.splitter.deviations().to_vec(),
+        self.fork_and_wait(true)
+    }
+
+    /// A synchronous driver read: fork every cell at the current batch
+    /// boundary and assemble the parts on this thread (`state: false` is
+    /// a pure fence). The wait is supervised like
+    /// [`ParallelIngestEngine::sample`]'s: it polls in short slices and
+    /// checks the pipeline's pulse on each timeout, so a death surfaces
+    /// typed (or recovers, and the fork is re-issued) in bounded time.
+    fn fork_and_wait(&mut self, state: bool) -> Result<EngineCheckpoint<S>, EngineError> {
+        self.check_alive()?;
+        'fork: loop {
+            let mut assembly = self.header(self.driver_rng.state(), state);
+            if let Err(cause) = self.send_forks(Ticket::Driver { state }) {
+                self.incident(cause)?;
+                continue;
+            }
+            while assembly.received < self.shared.cells.len() {
+                if let Some(part) = self.shared.replies.try_pop() {
+                    assembly.add(part);
+                } else if let Some(cause) = self.detect_dead() {
+                    self.incident(cause)?;
+                    continue 'fork;
+                } else {
+                    self.shared.replies.wait_nonempty(SUPERVISE_SLICE);
+                }
+            }
+            self.trim_replay();
+            return Ok(assembly.finish());
+        }
+    }
+
+    /// The driver-side header of a fork at the current batch boundary.
+    fn header(&self, driver_rng: [u64; 4], deviations: bool) -> Assembly<S> {
+        Assembly {
+            driver_rng,
+            deviations: if deviations {
+                self.splitter.deviations().to_vec()
+            } else {
+                Vec::new()
+            },
             batches: self.batches_ingested,
-        })
+            states: Vec::new(),
+            received: 0,
+        }
+    }
+
+    /// Enqueue a fork marker behind everything ingested so far, on every
+    /// cell.
+    fn send_forks(&self, ticket: Ticket) -> Result<(), EngineError> {
+        for (shard, cell) in self.shared.cells.iter().enumerate() {
+            if cell.work.push(ShardMsg::Fork(ticket)).is_err() {
+                return Err(EngineError::ShardDead { shard });
+            }
+        }
+        Ok(())
+    }
+
+    /// Issue one merger-assembled fork: the header first, then the
+    /// markers, so FIFO causality hands the merger every header before
+    /// any of its parts.
+    fn try_fork_to_merger(
+        &mut self,
+        purpose: Purpose,
+        driver_rng: [u64; 4],
+    ) -> Result<(), EngineError> {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        let assembly = self.header(driver_rng, matches!(purpose, Purpose::Checkpoint(_)));
+        self.shared
+            .merger
+            .push(MergerMsg::Header {
+                ticket,
+                purpose,
+                assembly,
+            })
+            .map_err(|_| EngineError::MergerDead)?;
+        self.send_forks(Ticket::Merger(ticket))?;
+        self.trim_replay();
+        Ok(())
     }
 
     /// Request an asynchronous checkpoint at the current batch boundary
     /// and return its generation number, **without stopping ingest**.
     ///
-    /// Like [`ParallelIngestEngine::request_snapshot`], this rides the
-    /// barrier machinery: each shard clones its `(sampler, RNG)` exactly
-    /// at this boundary and keeps ingesting; the merger assembles the
-    /// parts into an [`EngineCheckpoint`] claimable via
+    /// Like [`ParallelIngestEngine::request_snapshot`], this is a fork:
+    /// each shard clones its `(sampler, RNG)` exactly at this boundary
+    /// and keeps ingesting; the merger assembles the parts into an
+    /// [`EngineCheckpoint`] claimable via
     /// [`ParallelIngestEngine::try_take_checkpoint`]. Consumes **no**
     /// driver randomness, and the assembled checkpoint is byte-identical
     /// to what a synchronous [`ParallelIngestEngine::save_parts`] at the
-    /// same boundary would return. At most 4 completed generations are
+    /// same boundary would return (the same fork, assembled by the
+    /// driver). At most 4 completed generations are
     /// retained; the oldest unclaimed one is evicted.
     pub fn request_checkpoint(&mut self) -> Result<u64, EngineError> {
         self.check_alive()?;
+        let gen = self.next_ckpt_gen;
         loop {
-            let gen = self.next_ckpt_gen;
-            let mut cause = None;
-            // Header before barriers: FIFO causality, exactly like the
-            // snapshot protocol.
-            if self
-                .shared
-                .merger
-                .push(MergerMsg::CkptRequest {
-                    gen,
-                    driver_rng: self.driver_rng.state(),
-                    deviations: self.splitter.deviations().to_vec(),
-                    batches: self.batches_ingested,
-                })
-                .is_err()
-            {
-                cause = Some(EngineError::MergerDead);
-            }
-            if cause.is_none() {
-                for (i, cell) in self.shared.cells.iter().enumerate() {
-                    if cell.work.push(ShardMsg::CheckpointFork { gen }).is_err() {
-                        cause = Some(EngineError::ShardDead { shard: i });
-                        break;
-                    }
-                }
-            }
-            match cause {
-                None => {
+            match self.try_fork_to_merger(Purpose::Checkpoint(gen), self.driver_rng.state()) {
+                Ok(()) => {
                     self.next_ckpt_gen += 1;
-                    self.trim_replay();
                     return Ok(gen);
                 }
                 // After a recovery the generation is re-requested on the
                 // fresh pipeline — shard state is restored bit-identical,
                 // so the checkpoint is too.
-                Some(cause) => self.incident(cause)?,
+                Err(cause) => self.incident(cause)?,
             }
         }
     }
@@ -893,9 +925,9 @@ where
     /// Request publication of an epoch snapshot and return its epoch
     /// number, **without stopping ingest or blocking on the result**.
     ///
-    /// A barrier marker is enqueued after everything ingested so far, so
+    /// A fork marker is enqueued after everything ingested so far, so
     /// the snapshot reflects exactly the batches fed before this call.
-    /// Each shard forks its state at the barrier (an `O(n_k)` copy) and
+    /// Each shard forks its state at the marker (an `O(n_k)` copy) and
     /// keeps ingesting; the merger derives the epoch's merge tree from
     /// the recorded driver RNG position and idle shard workers execute it
     /// cooperatively (see the module docs), publishing an
@@ -912,7 +944,7 @@ where
     /// waits, exactly as `ingest` does.
     ///
     /// If part of the pipeline has died (a panic guard closes its
-    /// queues), the barrier cannot reach every shard and the epoch could
+    /// queues), the fork cannot reach every shard and the epoch could
     /// never complete: under [`RecoveryPolicy::Fail`] the engine fails
     /// typed (the dead pipeline's closers have already closed the cell,
     /// so `wait_for_epoch` callers observe publisher death instead of
@@ -933,36 +965,12 @@ where
     fn request_snapshot_at(&mut self, pos: [u64; 4]) -> Result<u64, EngineError> {
         loop {
             let epoch = self.next_epoch;
-            let mut cause = None;
-            // Request before barriers: FIFO causality guarantees the
-            // merger sees the epoch header before any fork for it.
-            if self
-                .shared
-                .merger
-                .push(MergerMsg::Request {
-                    epoch,
-                    rng: pos,
-                    batches: self.batches_ingested,
-                })
-                .is_err()
-            {
-                cause = Some(EngineError::MergerDead);
-            }
-            if cause.is_none() {
-                for (i, cell) in self.shared.cells.iter().enumerate() {
-                    if cell.work.push(ShardMsg::Barrier(epoch)).is_err() {
-                        cause = Some(EngineError::ShardDead { shard: i });
-                        break;
-                    }
-                }
-            }
-            match cause {
-                None => {
+            match self.try_fork_to_merger(Purpose::Publish(epoch), pos) {
+                Ok(()) => {
                     self.next_epoch += 1;
-                    self.trim_replay();
                     return Ok(epoch);
                 }
-                Some(cause) => self.incident(cause)?,
+                Err(cause) => self.incident(cause)?,
             }
         }
     }
@@ -1011,10 +1019,7 @@ where
         let mut epoch = self.request_snapshot_at(pos)?;
         self.driver_rng.long_jump();
         loop {
-            match self
-                .cell
-                .wait_for_epoch_timeout(epoch, Duration::from_millis(25))
-            {
+            match self.cell.wait_for_epoch_timeout(epoch, SUPERVISE_SLICE) {
                 EpochWait::Published(frozen) => return Ok(frozen.items().to_vec()),
                 EpochWait::PublisherGone => {
                     self.incident(EngineError::SnapshotLost { epoch })?;
@@ -1034,8 +1039,7 @@ where
 
     /// Per-shard ingest counters (items, batches, busy nanoseconds).
     /// Exact after a [`ParallelIngestEngine::quiesce`]; otherwise a
-    /// point-in-time reading. Work-stolen batches are charged to the
-    /// logical shard that owns them, not the thread that ran them.
+    /// point-in-time reading.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shared
             .cells
@@ -1194,7 +1198,7 @@ where
     }
 
     /// Drop replay-log entries already covered by the shards' latest fork
-    /// records. Called after each barrier/checkpoint issuance; `try_lock`
+    /// records. Called after each fork issuance; `try_lock`
     /// only — a stale record just means trimming less now and more later.
     fn trim_replay(&mut self) {
         let Some(slots) = &self.shared.recovery else {
@@ -1209,26 +1213,6 @@ where
                 }
             }
         }
-    }
-}
-
-/// Blocking single-response pop from a shard's response queue.
-///
-/// A closed-and-empty response queue means the worker terminated (its
-/// panic guard closes the queue on unwind); surface that as a typed
-/// error instead of blocking forever.
-fn pop_resp<S: MergeableSample>(
-    shard: usize,
-    cell: &ShardCell<S>,
-    scratch: &mut Vec<ShardResp<S>>,
-) -> Result<ShardResp<S>, EngineError> {
-    scratch.clear();
-    if cell.resp.drain_into(scratch) == 1 {
-        // INVARIANT: the driver runs one request protocol at a time, so a
-        // successful drain yields exactly the one matching response.
-        Ok(scratch.pop().expect("drained response present"))
-    } else {
-        Err(EngineError::ShardDead { shard })
     }
 }
 
@@ -1251,7 +1235,7 @@ where
             }
         }
         // Shards first, merger second: a draining shard backlog may still
-        // push barrier forks or tree completions, which the merger must
+        // push fork parts or tree completions, which the merger must
         // be alive to absorb. After the close the merger self-executes
         // any leaf tasks the (now joined) workers left behind, publishes
         // whatever epochs completed, closes the cell (waking any
@@ -1323,39 +1307,30 @@ where
     // split across (== `spec.shards` unless grouping is active).
     let cell_count = shard_samplers.len();
     debug_assert_eq!(cell_count, spec.cells(), "sampler count must match cells");
-    // Room for a few epochs in flight (each is 1 request + G forks +
+    // Room for a few epochs in flight (each is 1 header + G parts +
     // 1 publish); beyond that the snapshot path exerts backpressure on
     // whoever requests faster than the pipeline can merge.
     let merger: BatchQueue<MergerMsg<S>> = BatchQueue::with_capacity(4 * (cell_count + 2));
     // Leaf tasks for a few epochs; dispatch never blocks on this
     // queue (overflow executes inline on the merger).
     let tasks: BatchQueue<TreeTask<S>> = BatchQueue::with_capacity(4 * cell_count + 4);
-    let cells: Vec<ShardCell<S>> = shard_samplers
-        .into_iter()
-        .zip(substreams)
-        .map(|(sampler, rng)| {
+    let cells: Vec<ShardCell<S>> = (0..cell_count)
+        .map(|_| {
             // The recycle queue is created at its full buffer
             // population, 2·depth + 2: at most depth buffers sit in
-            // the work queue, at most depth in the (unique, lock-
-            // holding) processor's unflushed done-list, and one in
-            // the driver — so at least one is always available, the
-            // driver's try_pop never misses, the processor's try_push
-            // never drops a warm buffer, and steady-state ingest
-            // never calls the allocator for a buffer (the counting-
-            // allocator test pins this down).
+            // the work queue, at most depth in the owner's drained
+            // group, and one in the driver — so at least one is always
+            // available, the driver's try_pop never misses, the owner's
+            // try_push never drops a warm buffer, and steady-state
+            // ingest never calls the allocator for a buffer (the
+            // counting-allocator test pins this down).
             let population = 2 * depth + 2;
             let recycle = BatchQueue::with_capacity(population);
             for _ in 0..population {
                 let _ = recycle.try_push(Vec::new());
             }
             ShardCell {
-                core: Mutex::new(ShardCore {
-                    sampler,
-                    rng,
-                    seen: batches0,
-                }),
                 work: BatchQueue::with_capacity(depth),
-                resp: BatchQueue::with_capacity(2),
                 recycle,
                 counters: ShardCounters::default(),
             }
@@ -1365,6 +1340,9 @@ where
         cells,
         tasks,
         merger,
+        // One driver read is outstanding at a time, so G parts never
+        // block a worker.
+        replies: BatchQueue::with_capacity(cell_count),
         spec,
         depth,
         recovery,
@@ -1386,23 +1364,19 @@ where
             move || merger_worker(&shared, &cell, start_pub)
         })
         .expect("spawn merger worker");
-    // One worker thread per reservoir cell, `min(K, G)` in total. A
-    // cell's queue drains only under the cell's lock, so at most G
-    // drains ever run concurrently — threads beyond the cell count
-    // could never add throughput, only scheduler pressure (and, on
-    // small hosts, busy-span inflation through mid-span preemption).
-    // With grouping active the declared K shard threads therefore
-    // collapse onto G primary owners; any worker still drains *every*
-    // cell it can lock through the same lock-before-drain protocol work
-    // stealing uses, so the realized sample cannot depend on which
-    // owner did the work.
-    let worker_joins = (0..cell_count)
-        .map(|i| {
+    // One owner thread per reservoir cell, `min(K, G)` in total: with
+    // grouping active the declared K shards collapse onto G cells, and
+    // a thread beyond the cell count would have nothing to own.
+    let worker_joins = shard_samplers
+        .into_iter()
+        .zip(substreams)
+        .enumerate()
+        .map(|(i, (sampler, rng))| {
             let shared = Arc::clone(&shared);
             Some(
                 std::thread::Builder::new()
                     .name(format!("tbs-shard-{i}"))
-                    .spawn(move || shard_worker(i, &shared))
+                    .spawn(move || shard_worker(i, &shared, sampler, rng, batches0))
                     .expect("spawn shard worker"),
             )
         })
@@ -1410,124 +1384,146 @@ where
     (shared, worker_joins, Some(merger_join))
 }
 
-/// Process one drained group of messages for the logical shard `cell`,
-/// whose core lock the caller holds. This is the only place shard state
-/// advances, and it always runs under the cell's lock after draining the
-/// cell's queue under that same lock — which is exactly what keeps a
-/// stolen drain FIFO-consistent with the owner's.
-///
-/// Recycled buffers are pushed into `done`; the caller hands them back
-/// to the cell's recycle queue *after* releasing the core lock.
-fn process_shard_msgs<S: MergeableSample + Clone>(
-    shard_id: usize,
-    core: &mut ShardCore<S>,
-    cell: &ShardCell<S>,
-    shared: &EngineShared<S>,
-    msgs: &mut Vec<ShardMsg<S::Item>>,
-    done: &mut Vec<Vec<S::Item>>,
-) {
-    let merger = &shared.merger;
-    let counters = &cell.counters;
-    let mut items = 0u64;
-    let mut batches = 0u64;
-    let mut busy = 0u64;
-    // One timed span per contiguous run of batches: with a fast producer
-    // the drain delivers work in large groups, so the two clock reads
-    // amortize to nothing per batch.
-    let mut span: Option<Instant> = None;
-    let close_span = |span: &mut Option<Instant>, busy: &mut u64| {
-        if let Some(t) = span.take() {
-            *busy += t.elapsed().as_nanos() as u64;
+/// Ingest counters accumulated by a shard owner between flushes.
+#[derive(Default)]
+struct Tally {
+    items: u64,
+    batches: u64,
+    busy_ns: u64,
+    /// Open busy span. One span covers a contiguous run of batches: with
+    /// a fast producer the drain delivers work in large groups, so the
+    /// two clock reads amortize to nothing per batch.
+    span: Option<Instant>,
+}
+
+impl Tally {
+    fn open_span(&mut self) {
+        self.span.get_or_insert_with(Instant::now);
+    }
+
+    /// Close the span and publish everything to `counters`. A fork
+    /// flushes *before* sending its part: the driver reads the counters
+    /// right after a `quiesce`, and "exact after quiesce" holds only if
+    /// everything processed ahead of the fork is already visible.
+    fn flush(&mut self, counters: &ShardCounters) {
+        if let Some(t) = self.span.take() {
+            self.busy_ns += t.elapsed().as_nanos() as u64;
         }
-    };
-    // Counters must be flushed *before* any Sync/Snapshot response is
-    // sent: the driver reads them right after the ack, and the "exact
-    // after quiesce" contract holds only if everything processed ahead
-    // of the ack is already visible.
-    let flush = |items: &mut u64, batches: &mut u64, busy: &mut u64| {
-        counters.items.fetch_add(*items, Ordering::Relaxed);
-        counters.batches.fetch_add(*batches, Ordering::Relaxed);
-        counters.busy_ns.fetch_add(*busy, Ordering::Relaxed);
-        (*items, *batches, *busy) = (0, 0, 0);
-    };
-    for msg in msgs.drain(..) {
-        match msg {
-            ShardMsg::Batch(mut buf) => {
-                if let Some(plan) = &shared.faults {
-                    // Injection site: "the worker processing logical
-                    // shard `shard_id`'s `seen`-th batch". Keyed to the
-                    // shard's deterministic stream position, not the
-                    // (timing-dependent) thread identity.
-                    plan.fire_kill_worker(shard_id, core.seen);
-                }
-                core.seen += 1;
-                if span.is_none() {
-                    span = Some(Instant::now());
-                }
-                items += buf.len() as u64;
-                core.sampler.observe_shard(&mut buf, &mut core.rng);
-                buf.clear();
-                done.push(buf);
-                batches += 1;
-            }
-            ShardMsg::Snapshot => {
-                close_span(&mut span, &mut busy);
-                flush(&mut items, &mut batches, &mut busy);
-                let _ = cell.resp.push(ShardResp::Snapshot(Box::new((
-                    core.sampler.clone(),
-                    core.rng.state(),
-                ))));
-            }
-            ShardMsg::Barrier(epoch) => {
-                // The fork is charged to the busy span: it is real
-                // per-shard pipeline work, and the serving benchmark's
-                // ingest-capacity gate must see the snapshot overhead.
-                if span.is_none() {
-                    span = Some(Instant::now());
-                }
-                let _ = merger.push(MergerMsg::Fork {
-                    epoch,
-                    shard: shard_id,
-                    state: Box::new(core.sampler.fork_for_merge()),
-                });
-                // Refresh the recovery fork record at the same boundary:
-                // barriers double as recovery points, bounding the
-                // driver's replay log at the publication cadence.
-                if let Some(slots) = &shared.recovery {
-                    *slots[shard_id].lock() = Some(ForkRecord {
-                        batches: core.seen,
-                        sampler: core.sampler.clone(),
-                        rng: core.rng.state(),
-                    });
-                }
-            }
-            ShardMsg::CheckpointFork { gen } => {
-                if span.is_none() {
-                    span = Some(Instant::now());
-                }
-                let state = (core.sampler.clone(), core.rng.state());
-                if let Some(slots) = &shared.recovery {
-                    *slots[shard_id].lock() = Some(ForkRecord {
-                        batches: core.seen,
-                        sampler: state.0.clone(),
-                        rng: state.1,
-                    });
-                }
-                let _ = merger.push(MergerMsg::CkptFork {
-                    gen,
-                    shard: shard_id,
-                    state: Box::new(state),
-                });
-            }
-            ShardMsg::Sync => {
-                close_span(&mut span, &mut busy);
-                flush(&mut items, &mut batches, &mut busy);
-                let _ = cell.resp.push(ShardResp::Ack);
-            }
+        counters.items.fetch_add(self.items, Ordering::Relaxed);
+        counters.batches.fetch_add(self.batches, Ordering::Relaxed);
+        counters.busy_ns.fetch_add(self.busy_ns, Ordering::Relaxed);
+        *self = Self::default();
+    }
+}
+
+/// The long-lived owner of shard cell `id`: the only thread that ever
+/// touches the cell's sampler, RNG and batch count, which it holds as
+/// plain locals. It drains the cell's queue in FIFO order, helps execute
+/// merge-tree leaf tasks, and otherwise briefly waits for work.
+fn shard_worker<S: MergeableSample + Clone>(
+    id: usize,
+    shared: &EngineShared<S>,
+    mut sampler: S,
+    mut rng: Xoshiro256PlusPlus,
+    // Data batches this cell has processed (== the driver's
+    // `batches_ingested` once the cell catches up, since every ingest
+    // sends one chunk to every cell). Positions fault-injection sites
+    // and stamps recovery fork records.
+    mut seen: u64,
+) {
+    let cell = &shared.cells[id];
+    // If the worker unwinds (a sampler panic), close its work queue: the
+    // driver's pulse check sees the death, and a driver blocked on the
+    // full queue in ingest() wakes with a push error instead of waiting
+    // forever on a consumer that no longer exists. On normal exit the
+    // engine is being dropped and the close is harmless.
+    struct PanicCloser<'a, T>(&'a BatchQueue<ShardMsg<T>>);
+    impl<T> Drop for PanicCloser<'_, T> {
+        fn drop(&mut self) {
+            self.0.close();
         }
     }
-    close_span(&mut span, &mut busy);
-    flush(&mut items, &mut batches, &mut busy);
+    let _closer = PanicCloser(&cell.work);
+
+    // A drained group holds at most `depth` messages (the work queue's
+    // bound), so sizing the buffer up front makes the loop
+    // allocation-free from the first batch on.
+    let mut msgs: Vec<ShardMsg<S::Item>> = Vec::with_capacity(shared.depth);
+    let mut tally = Tally::default();
+    loop {
+        // Read closure *before* draining: once closed no push can land,
+        // so the drain that follows sees the whole remaining backlog.
+        let closed = cell.work.is_closed();
+        let mut progressed = cell.work.try_drain_into(&mut msgs) > 0;
+        if !progressed && closed {
+            return;
+        }
+        for msg in msgs.drain(..) {
+            match msg {
+                ShardMsg::Batch(mut buf) => {
+                    if let Some(plan) = &shared.faults {
+                        // Injection site: "logical shard `id`'s `seen`-th
+                        // batch" — a deterministic stream position.
+                        plan.fire_kill_worker(id, seen);
+                    }
+                    seen += 1;
+                    tally.open_span();
+                    tally.items += buf.len() as u64;
+                    tally.batches += 1;
+                    sampler.observe_shard(&mut buf, &mut rng);
+                    buf.clear();
+                    let _ = cell.recycle.try_push(buf);
+                }
+                ShardMsg::Fork(ticket) => {
+                    // The fork is charged to the busy span: it is real
+                    // per-shard pipeline work, and the serving
+                    // benchmark's ingest-capacity gate must see the
+                    // snapshot overhead.
+                    tally.open_span();
+                    let state = match ticket {
+                        Ticket::Driver { state: false } => None,
+                        _ => Some(Box::new((sampler.clone(), rng.state()))),
+                    };
+                    // Every fork doubles as a recovery point, bounding
+                    // the driver's replay log at the fork cadence.
+                    if let Some(slots) = &shared.recovery {
+                        *slots[id].lock() = Some(ForkRecord {
+                            batches: seen,
+                            sampler: sampler.clone(),
+                            rng: rng.state(),
+                        });
+                    }
+                    tally.flush(&cell.counters);
+                    let part = Part { cell: id, state };
+                    match ticket {
+                        Ticket::Merger(ticket) => {
+                            let _ = shared.merger.push(MergerMsg::Part { ticket, part });
+                        }
+                        Ticket::Driver { .. } => {
+                            let _ = shared.replies.push(part);
+                        }
+                    }
+                }
+            }
+        }
+        if progressed {
+            tally.flush(&cell.counters);
+        }
+        // Help execute a merge-tree leaf task.
+        if let Some((tree, leaf)) = shared.tasks.try_pop() {
+            if let Some(frozen) = run_tree_task(&tree, leaf, &shared.spec) {
+                let _ = shared.merger.push(MergerMsg::Publish {
+                    frozen: Box::new(frozen),
+                });
+            }
+            progressed = true;
+        }
+        // Idle: briefly wait for own work (woken early by push or close),
+        // then recheck the task queue.
+        if !progressed {
+            cell.work.wait_nonempty(Duration::from_millis(1));
+        }
+    }
 }
 
 /// Execute one leaf of an epoch's merge tree and climb as far as
@@ -1589,165 +1585,6 @@ fn run_tree_task<S: MergeableSample>(
     }
 }
 
-/// The long-lived shard worker: serve the own cell's queue, then sweep
-/// the other cells for stealable backlog, then help execute merge-tree
-/// leaf tasks, then briefly wait for own work.
-fn shard_worker<S: MergeableSample + Clone>(shard_id: usize, shared: &EngineShared<S>) {
-    let k = shared.cells.len();
-    let my = &shared.cells[shard_id];
-    // If the worker unwinds (a sampler panic), close its driver-facing
-    // queues: a driver blocked in pop_resp fails fast ("shard worker
-    // terminated"), and one blocked on a full work queue in ingest()
-    // wakes with a push error instead of waiting forever on a consumer
-    // that no longer exists. On normal exit the engine is being dropped
-    // and the closes are harmless.
-    struct PanicCloser<'a, S: MergeableSample> {
-        work: &'a BatchQueue<ShardMsg<S::Item>>,
-        resp: &'a BatchQueue<ShardResp<S>>,
-    }
-    impl<S: MergeableSample> Drop for PanicCloser<'_, S> {
-        fn drop(&mut self) {
-            self.work.close();
-            self.resp.close();
-        }
-    }
-    let _closer = PanicCloser::<S> {
-        work: &my.work,
-        resp: &my.resp,
-    };
-    // Armed while this worker processes messages *stolen* from another
-    // shard's cell; disarmed (forgotten) on success. See the steal sweep
-    // below for why the victim's queues must close if the thief unwinds.
-    struct StolenMsgsGuard<'a, S: MergeableSample> {
-        victim: &'a ShardCell<S>,
-    }
-    impl<S: MergeableSample> Drop for StolenMsgsGuard<'_, S> {
-        fn drop(&mut self) {
-            self.victim.work.close();
-            self.victim.resp.close();
-        }
-    }
-
-    // A drained group holds at most `depth` messages (every work queue's
-    // bound), so sizing the local buffers up front makes the loop
-    // allocation-free from the first batch on — for own work and stolen
-    // work alike.
-    let mut msgs: Vec<ShardMsg<S::Item>> = Vec::with_capacity(shared.depth);
-    let mut done: Vec<Vec<S::Item>> = Vec::with_capacity(shared.depth);
-    loop {
-        // 1. Serve the own cell. Lock-before-drain: draining only under
-        //    the core lock is what keeps the logical shard FIFO when a
-        //    thief and the owner race.
-        let mut progressed = false;
-        if !my.work.is_empty() {
-            let mut core = my.core.lock();
-            if my.work.try_drain_into(&mut msgs) > 0 {
-                process_shard_msgs(shard_id, &mut core, my, shared, &mut msgs, &mut done);
-                progressed = true;
-            }
-            drop(core);
-            for buf in done.drain(..) {
-                let _ = my.recycle.try_push(buf);
-            }
-        } else if my.work.is_closed() {
-            // Closed and fully drained (any messages a thief drained are
-            // the thief's to finish): this shard's stream has ended.
-            return;
-        }
-        // 2. Steal sweep: drain any other cell's backlog we can lock
-        //    without waiting. try_lock only — a sweeping worker must
-        //    never sleep on another shard's cell.
-        for off in 1..k {
-            let j = (shard_id + off) % k;
-            let victim = &shared.cells[j];
-            if victim.work.is_empty() {
-                continue;
-            }
-            let Some(mut core) = victim.core.try_lock() else {
-                continue;
-            };
-            if victim.work.try_drain_into(&mut msgs) > 0 {
-                // A thief dying mid-steal takes the victim's drained
-                // messages (data batches, maybe a Sync or Barrier) to the
-                // grave while the victim's own queues stay open and its
-                // owner stays healthy — a driver blocked in pop_resp on
-                // the victim would then wait forever, since only the
-                // thief's own queues close on unwind. Closing the
-                // *victim's* endpoints too makes the loss detectable, so
-                // the supervisor fails typed or respawns from the barrier.
-                let guard = StolenMsgsGuard { victim };
-                process_shard_msgs(j, &mut core, victim, shared, &mut msgs, &mut done);
-                std::mem::forget(guard);
-                progressed = true;
-            }
-            drop(core);
-            for buf in done.drain(..) {
-                let _ = victim.recycle.try_push(buf);
-            }
-        }
-        // 3. Help execute a merge-tree leaf task.
-        if let Some((tree, leaf)) = shared.tasks.try_pop() {
-            if let Some(frozen) = run_tree_task(&tree, leaf, &shared.spec) {
-                let _ = shared.merger.push(MergerMsg::Publish {
-                    frozen: Box::new(frozen),
-                });
-            }
-            progressed = true;
-        }
-        // 4. Idle: briefly wait for own work (woken early by push or
-        //    close), then rescan the steal targets and the task queue.
-        if !progressed {
-            my.work.wait_nonempty(Duration::from_millis(1));
-        }
-    }
-}
-
-/// Per-epoch assembly state on the merger thread.
-struct PendingEpoch<S> {
-    /// `(driver RNG position, batches stamp)` from the epoch's `Request`.
-    header: Option<([u64; 4], u64)>,
-    /// Forked shard states, indexed by shard id.
-    forks: Vec<Option<S>>,
-    received: usize,
-}
-
-impl<S> PendingEpoch<S> {
-    fn new(shards: usize) -> Self {
-        Self {
-            header: None,
-            forks: (0..shards).map(|_| None).collect(),
-            received: 0,
-        }
-    }
-
-    fn is_complete(&self, shards: usize) -> bool {
-        self.header.is_some() && self.received == shards
-    }
-}
-
-/// Per-generation checkpoint assembly state on the merger thread.
-struct PendingCkpt<S> {
-    /// `(driver RNG, split deviations, batches)` from the `CkptRequest`.
-    header: Option<([u64; 4], Vec<f64>, u64)>,
-    /// `(sampler, RNG state)` parts, indexed by shard id.
-    parts: Vec<Option<(S, [u64; 4])>>,
-    received: usize,
-}
-
-impl<S> PendingCkpt<S> {
-    fn new(shards: usize) -> Self {
-        Self {
-            header: None,
-            parts: (0..shards).map(|_| None).collect(),
-            received: 0,
-        }
-    }
-
-    fn is_complete(&self, shards: usize) -> bool {
-        self.header.is_some() && self.received == shards
-    }
-}
-
 /// Build one epoch's merge tree from its header and forks, deriving
 /// every node's RNG substream from the recorded driver position with the
 /// exact [`tbs_core::merge::merge_replay`] sequence (split into `2K`
@@ -1787,9 +1624,10 @@ fn build_tree<S: MergeableSample>(
     }
 }
 
-/// The background merge coordinator: collect each epoch's `Request`
-/// header and K shard forks, build the epoch's merge tree, hand its leaf
-/// tasks to the idle shard workers (executing inline whatever does not
+/// The background merge coordinator: assemble each fork from its header
+/// and G cell parts; hand a completed checkpoint to the ring, or build a
+/// completed epoch's merge tree and hand its leaf tasks to the idle shard
+/// workers (executing inline whatever does not
 /// fit — dispatch never blocks, which is what makes shutdown
 /// deadlock-free), and publish completed epochs **strictly in order**.
 fn merger_worker<S: MergeableSample + Clone>(
@@ -1803,8 +1641,8 @@ fn merger_worker<S: MergeableSample + Clone>(
     // * the cell, so readers blocked in wait_for_epoch wake instead of
     //   waiting on a publisher that no longer exists (published samples
     //   stay readable);
-    // * the work queue, so shard workers pushing barrier forks (and the
-    //   driver pushing epoch requests) fail fast instead of blocking
+    // * the work queue, so shard workers pushing fork parts (and the
+    //   driver pushing fork headers) fail fast instead of blocking
     //   forever on a bounded queue no one drains — a merger panic must
     //   not deadlock ingest, mirroring the shard workers' PanicCloser;
     // * the task queue, so no new tree work is admitted after the
@@ -1824,8 +1662,8 @@ fn merger_worker<S: MergeableSample + Clone>(
 
     let spec = shared.spec;
     let cell_count = shared.cells.len();
-    let mut pending: BTreeMap<u64, PendingEpoch<S>> = BTreeMap::new();
-    let mut pending_ckpts: BTreeMap<u64, PendingCkpt<S>> = BTreeMap::new();
+    // Forks awaiting parts, by ticket.
+    let mut pending: BTreeMap<u64, (Purpose, Assembly<S>)> = BTreeMap::new();
     // Completed-but-unpublished epochs, re-ordered for in-order
     // publication (trees of different epochs may finish out of order).
     let mut ready: BTreeMap<u64, FrozenSample<S::Item>> = BTreeMap::new();
@@ -1869,108 +1707,66 @@ fn merger_worker<S: MergeableSample + Clone>(
             }
             msg_seen += 1;
             match msg {
-                MergerMsg::Request {
-                    epoch,
-                    rng,
-                    batches,
+                MergerMsg::Header {
+                    ticket,
+                    purpose,
+                    assembly,
                 } => {
-                    pending
-                        .entry(epoch)
-                        .or_insert_with(|| PendingEpoch::new(cell_count))
-                        .header = Some((rng, batches));
+                    pending.insert(ticket, (purpose, assembly));
                 }
-                MergerMsg::Fork {
-                    epoch,
-                    shard,
-                    state,
-                } => {
-                    let entry = pending
-                        .entry(epoch)
-                        .or_insert_with(|| PendingEpoch::new(cell_count));
-                    if entry.forks[shard].replace(*state).is_none() {
-                        entry.received += 1;
+                MergerMsg::Part { ticket, part } => {
+                    // INVARIANT: the driver enqueues a fork's header before
+                    // any cell can see its marker, so the header is here.
+                    let (_, assembly) = pending
+                        .get_mut(&ticket)
+                        .expect("fork header precedes its parts");
+                    assembly.add(part);
+                    if assembly.received < cell_count {
+                        continue;
+                    }
+                    let (purpose, assembly) = pending.remove(&ticket).expect("assembly just found");
+                    let parts = assembly.finish();
+                    match purpose {
+                        Purpose::Checkpoint(gen) => {
+                            if let Err(fresh) = shared.ckpts_done.try_push((gen, parts)) {
+                                // Ring full: evict the oldest unclaimed
+                                // generation to keep the newest — never
+                                // block the merge pipeline on a slow
+                                // checkpoint consumer.
+                                let _ = shared.ckpts_done.try_pop();
+                                let _ = shared.ckpts_done.try_push(fresh);
+                            }
+                        }
+                        Purpose::Publish(epoch) => {
+                            let forks = parts.shard_states.into_iter().map(|(s, _)| s).collect();
+                            let tree = Arc::new(build_tree(
+                                epoch,
+                                parts.batches,
+                                parts.driver_rng,
+                                forks,
+                                &spec,
+                            ));
+                            inflight += 1;
+                            for leaf in 0..cell_count {
+                                if let Err((tree, leaf)) =
+                                    shared.tasks.try_push((Arc::clone(&tree), leaf))
+                                {
+                                    // Task queue full (or closed): execute
+                                    // inline rather than ever blocking —
+                                    // the workers draining the queue may be
+                                    // waiting on *this* thread at shutdown.
+                                    if let Some(frozen) = run_tree_task(&tree, leaf, &spec) {
+                                        inflight -= 1;
+                                        ready.insert(frozen.epoch(), frozen);
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
                 MergerMsg::Publish { frozen } => {
                     inflight -= 1;
                     ready.insert(frozen.epoch(), *frozen);
-                }
-                MergerMsg::CkptRequest {
-                    gen,
-                    driver_rng,
-                    deviations,
-                    batches,
-                } => {
-                    pending_ckpts
-                        .entry(gen)
-                        .or_insert_with(|| PendingCkpt::new(cell_count))
-                        .header = Some((driver_rng, deviations, batches));
-                }
-                MergerMsg::CkptFork { gen, shard, state } => {
-                    let entry = pending_ckpts
-                        .entry(gen)
-                        .or_insert_with(|| PendingCkpt::new(cell_count));
-                    if entry.parts[shard].replace(*state).is_none() {
-                        entry.received += 1;
-                    }
-                }
-            }
-        }
-        // Assemble every complete checkpoint generation, oldest first.
-        while let Some(entry) = pending_ckpts.first_entry() {
-            if !entry.get().is_complete(cell_count) {
-                break;
-            }
-            let (gen, state) = entry.remove_entry();
-            // INVARIANT: `is_complete` just verified the header and all K
-            // shard parts arrived, so the unwraps below cannot fire.
-            let (driver_rng, deviations, batches) =
-                state.header.expect("complete checkpoint has a header");
-            let ckpt = EngineCheckpoint {
-                shard_states: state
-                    .parts
-                    .into_iter()
-                    .map(|p| p.expect("complete checkpoint has every shard"))
-                    .collect(),
-                driver_rng,
-                split_deviations: deviations,
-                batches,
-            };
-            if let Err(fresh) = shared.ckpts_done.try_push((gen, ckpt)) {
-                // Ring full: evict the oldest unclaimed generation to
-                // keep the newest — never block the merge pipeline on a
-                // slow checkpoint consumer.
-                let _ = shared.ckpts_done.try_pop();
-                let _ = shared.ckpts_done.try_push(fresh);
-            }
-        }
-        // Dispatch every complete epoch, oldest first (epochs complete in
-        // order — barriers flow FIFO through every shard — but the loop
-        // does not rely on it).
-        while let Some(entry) = pending.first_entry() {
-            if !entry.get().is_complete(cell_count) {
-                break;
-            }
-            let (epoch, state) = entry.remove_entry();
-            // INVARIANT: `is_complete` just verified the header and all K
-            // fork states arrived, so the unwraps below cannot fire.
-            let (rng_state, batches) = state.header.expect("complete epoch has a header");
-            let forks: Vec<S> = state
-                .forks
-                .into_iter()
-                .map(|f| f.expect("complete epoch has every fork"))
-                .collect();
-            let tree = Arc::new(build_tree(epoch, batches, rng_state, forks, &spec));
-            inflight += 1;
-            for leaf in 0..cell_count {
-                if let Err((tree, leaf)) = shared.tasks.try_push((Arc::clone(&tree), leaf)) {
-                    // Task queue full (or closed): execute inline rather
-                    // than ever blocking — the workers draining the queue
-                    // may be waiting on *this* thread at shutdown.
-                    if let Some(frozen) = run_tree_task(&tree, leaf, &spec) {
-                        inflight -= 1;
-                        ready.insert(frozen.epoch(), frozen);
-                    }
                 }
             }
         }
@@ -2153,10 +1949,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_never_changes_the_sample() {
-        // Slam a 16-shard engine with a shallow queue (maximizing steal
-        // opportunities and backpressure stalls) and compare against a
-        // second run with a deep queue (little stealing): same seed ⇒
+    fn queue_depth_never_changes_the_sample() {
+        // Slam a 16-shard engine with a shallow queue (maximizing
+        // backpressure stalls and small drained groups) and compare
+        // against a second run with a deep queue: same seed ⇒
         // bit-identical samples, whatever the thread interleaving did.
         let spec = ShardSpec::rtbs(0.1, 200, 16);
         let shallow = EngineConfig {

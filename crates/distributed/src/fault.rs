@@ -35,10 +35,9 @@ pub const INJECTED_PANIC: &str = "tbs-fault: injected failure";
 /// One scheduled fault at a precise pipeline position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Panic the worker thread that is about to process logical shard
-    /// `shard`'s `batch_index`-th data batch (0-based). With work
-    /// stealing the *thread* that dies varies, but the position in the
-    /// shard's deterministic stream does not.
+    /// Panic the owner thread of logical shard `shard` just before it
+    /// processes the shard's `batch_index`-th data batch (0-based) — a
+    /// position in the shard's deterministic stream.
     KillWorker {
         /// Logical shard whose stream carries the fault.
         shard: usize,

@@ -228,3 +228,44 @@ fn concurrent_readers_never_observe_torn_samples_while_saturated() {
     // The engine is still fully functional afterwards.
     assert!(engine.sample().unwrap().len() <= 100);
 }
+
+/// An asynchronous checkpoint and a synchronous `save_parts` are the same
+/// fork assembled in two places (merger and driver): taken at the same
+/// batch boundary they must be identical, and resume identically.
+fn assert_async_checkpoint_equals_save_parts<S>(spec: ShardSpec, seed: u64)
+where
+    S: MergeableSample<Item = u64> + Clone + Send + std::fmt::Debug + 'static,
+{
+    let cfg = EngineConfig::new(spec, seed);
+    let mut engine: ParallelIngestEngine<S> = ParallelIngestEngine::new(cfg);
+    feed(&mut engine, 0, 45);
+    let gen = engine.request_checkpoint().unwrap();
+    let sync = engine.save_parts().unwrap();
+    let (got, parts) = engine
+        .wait_checkpoint(std::time::Duration::from_secs(30))
+        .unwrap()
+        .expect("async checkpoint assembles");
+    assert_eq!(got, gen);
+    assert_eq!(
+        format!("{parts:?}"),
+        format!("{sync:?}"),
+        "K={}: async checkpoint differs from save_parts at the same boundary",
+        spec.shards
+    );
+    let mut from_async: ParallelIngestEngine<S> = ParallelIngestEngine::from_parts(cfg, parts);
+    let mut from_sync: ParallelIngestEngine<S> = ParallelIngestEngine::from_parts(cfg, sync);
+    feed(&mut from_async, 45, 80);
+    feed(&mut from_sync, 45, 80);
+    assert_eq!(from_async.sample().unwrap(), from_sync.sample().unwrap());
+}
+
+#[test]
+fn async_checkpoint_equals_save_parts_at_the_same_boundary() {
+    for k in [1usize, 4] {
+        assert_async_checkpoint_equals_save_parts::<RTbs<u64>>(ShardSpec::rtbs(0.1, 64, k), 23);
+        assert_async_checkpoint_equals_save_parts::<TTbs<u64>>(
+            ShardSpec::ttbs(0.1, 50, 47.0, k),
+            23,
+        );
+    }
+}

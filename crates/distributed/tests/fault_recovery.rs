@@ -10,7 +10,9 @@
 //! (shard, global batch number) — so every scenario here is exactly
 //! reproducible.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 use tbs_core::merge::ShardSpec;
 use tbs_core::{RTbs, TTbs};
@@ -207,6 +209,102 @@ fn check_respawn_policy<I: PartialEq + std::fmt::Debug>(
     }
 }
 
+/// Threads that busy-loop until dropped, so the engine's threads compete
+/// for the CPU and get preempted at arbitrary points.
+struct SpinHogs {
+    stop: Arc<AtomicBool>,
+    joins: Vec<JoinHandle<()>>,
+}
+
+impl SpinHogs {
+    fn start(threads: usize) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let joins = (0..threads)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        Self { stop, joins }
+    }
+}
+
+impl Drop for SpinHogs {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for join in self.joins.drain(..) {
+            let _ = join.join();
+        }
+    }
+}
+
+/// The facade fault matrix's stream (`tests/fault_matrix.rs`): 48
+/// bursty batches with a publication after batches 11, 27 and 43, then
+/// the final sample.
+fn drive_facade_stream<S>(engine: &mut ParallelIngestEngine<S>) -> Result<Vec<u64>, EngineError>
+where
+    S: tbs_core::merge::MergeableSample<Item = u64> + Clone + Send + 'static,
+{
+    for t in 0..48 {
+        engine.ingest(batch_at(t))?;
+        if t % 16 == 11 {
+            engine.request_snapshot()?;
+        }
+    }
+    engine.sample()
+}
+
+/// Run the facade matrix's `kill_worker` respawn plan `RUNS` times and
+/// require the fault-free sample every time.
+fn respawn_repeatedly<S>(label: &str, cfg: EngineConfig)
+where
+    S: tbs_core::merge::MergeableSample<Item = u64> + Clone + Send + 'static,
+{
+    const RUNS: usize = 20;
+    let clean = drive_facade_stream(&mut ParallelIngestEngine::<S>::new(cfg))
+        .expect("fault-free run succeeds");
+    for run in 0..RUNS {
+        let plan = Arc::new(FaultPlan::new().kill_worker(1, 8));
+        let mut engine = ParallelIngestEngine::<S>::with_fault_plan(cfg, Arc::clone(&plan));
+        let got = drive_facade_stream(&mut engine)
+            .unwrap_or_else(|e| panic!("{label}/run={run}: respawn must absorb the kill, got {e}"));
+        assert_eq!(
+            got, clean,
+            "{label}/run={run}: recovered sample diverged from the fault-free run"
+        );
+        assert_eq!(
+            plan.fired_count(),
+            1,
+            "{label}/run={run}: the kill never fired"
+        );
+    }
+}
+
+/// Worker-death recovery must be bit-identical under any thread
+/// schedule, not only on a quiet host. Two spinning threads keep the
+/// CPUs contended while the `kill_worker` respawn plan runs over and over
+/// on the facade fault matrix's stream, for both samplers at K = 4.
+#[test]
+fn kill_worker_respawn_is_bit_identical_under_cpu_contention() {
+    silence_injected_panics();
+    let _hogs = SpinHogs::start(2);
+    for seed in [11u64, 42] {
+        let respawn = RecoveryPolicy::RespawnFromBarrier;
+        respawn_repeatedly::<RTbs<u64>>(
+            &format!("R-TBS/seed={seed}"),
+            EngineConfig::new(ShardSpec::rtbs(0.2, 64, 4), seed).recovery(respawn),
+        );
+        respawn_repeatedly::<TTbs<u64>>(
+            &format!("T-TBS/seed={seed}"),
+            EngineConfig::new(ShardSpec::ttbs(0.1, 50, 47.0, 4), seed).recovery(respawn),
+        );
+    }
+}
+
 /// Recovery must also work *after* barriers have trimmed the replay log:
 /// the shard restores from its newest fork record, not from stream start.
 #[test]
@@ -389,8 +487,8 @@ fn drop_right_after_recovery_is_clean() {
     for t in 0..40 {
         engine.ingest(batch_at(t)).unwrap();
     }
-    // Force detection: the quiesce runs into the closed response queue
-    // and triggers the supervised respawn.
+    // Force detection: the quiesce's fork never hears back from the
+    // killed shard, whose closed queue triggers the supervised respawn.
     engine.quiesce().unwrap();
     assert!(engine.recoveries() >= 1);
     drop(engine);

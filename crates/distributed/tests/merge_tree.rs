@@ -1,13 +1,13 @@
 //! The hierarchical merge tree is a *replay*, not a re-randomization:
 //! every node of the `⌈log₂K⌉`-depth pairwise tree draws from an RNG
 //! substream derived purely from (driver RNG position, node id), so the
-//! cooperative execution on the shard threads — whatever interleaving,
-//! stealing, or node-completion order the scheduler produces — must be
+//! cooperative execution on the shard threads — whatever interleaving or
+//! node-completion order the scheduler produces — must be
 //! **bit-identical** to a single-threaded [`merge_replay`] fold over the
 //! same shard states from the same driver position.
 //!
 //! These tests pin that property end-to-end: run the engine (parallel
-//! tree, work stealing enabled by a shallow queue), capture its durable
+//! tree, a shallow queue for frequent backpressure), capture its durable
 //! state, replay the merge + realization sequentially on the test
 //! thread, and require equality — for both mergeable algorithms, K up
 //! to 64 (including shard-grouped and deferred-downsampling configs),
@@ -38,9 +38,9 @@ where
     out
 }
 
-/// Drive `engine` with a bursty schedule (work stealing fires on the
-/// size-0 and size-1200 extremes), then compare the engine's parallel
-/// tree sample against the sequential replay at three checkpoints.
+/// Drive `engine` with a bursty schedule (size-0 and size-1200
+/// extremes), then compare the engine's parallel tree sample against the
+/// sequential replay at three checkpoints.
 fn check_tree_matches_sequential<S>(cfg: EngineConfig, label: &str)
 where
     S: MergeableSample<Item = u64> + Clone + Send + Sync + 'static,

@@ -8,8 +8,8 @@
 // shards the stream across K persistent worker threads, each running its
 // own R-TBS with a jump-ahead RNG substream, and merges the shard states
 // *exactly* (the paper's §5 weight algebra) in a log-depth pairwise tree
-// only when a sample is asked for. Idle shards steal batch chunks from
-// busy ones, and per-shard capacity adapts to ⌈n/K⌉ + 1, so the engine
+// only when a sample is asked for. A balanced splitter keeps the shards'
+// loads even, and per-shard capacity adapts to ⌈n/K⌉ + 1, so the engine
 // scales past 8 shards — this example runs 16. The merged sample is
 // statistically identical to a single-node R-TBS over the whole stream —
 // and bit-identical across runs for a fixed (seed, shard count). Through
@@ -49,8 +49,8 @@ fn main() {
     let mut reader = sampler.reader(); // Send + Sync + Clone
 
     // 4. Feed a bursty stream. Each batch is split near-evenly by the
-    //    balanced splitter (deterministic — stealing never changes which
-    //    chunk lands in which shard's sample), and every 250th batch
+    //    balanced splitter (deterministic — thread timing never changes
+    //    which chunk lands in which shard's sample), and every 250th batch
     //    triggers a pipeline to publish a fresh epoch without stalling
     //    ingest.
     for t in 0..2_000u64 {

@@ -422,9 +422,9 @@ impl SamplerConfig {
     /// per-cell capacity share `⌈n/G⌉` would fall below `min_cell_capacity`
     /// (0, the default, disables grouping). The cell count G starts at
     /// `shards` and halves until the share clears the bound, so at high K
-    /// with small n the K ingest threads drive G < K reservoirs through
-    /// the work-stealing protocol instead of K tiny ones — the per-batch
-    /// reservoir fixed costs then scale with G, not K. Requires
+    /// with small n the engine runs G < K reservoirs, one owner thread
+    /// each, instead of K tiny ones — the per-batch reservoir fixed costs
+    /// then scale with G, not K. Requires
     /// `shards > 1`; a grouped engine with G cells produces bit-identical
     /// samples to an ungrouped engine built with `shards(G)`.
     pub fn group_threshold(mut self, min_cell_capacity: usize) -> Self {

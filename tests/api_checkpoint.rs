@@ -298,7 +298,7 @@ fn invalid_jump_cursor_blobs_are_rejected() {
 fn sharded_resume_round_trips_split_deviations_and_stolen_work() {
     // Bursty batch sizes that are never multiples of K leave the balanced
     // splitter's deviation ledger non-zero at the cut, and queue_depth 2
-    // keeps the work-stealing sweep hot on both sides of the restore. The
+    // keeps backpressure stalls frequent on both sides of the restore. The
     // blob must carry the ledger (and each shard's adaptive-capacity
     // state) exactly, or the resumed split — and therefore the sample —
     // diverges.

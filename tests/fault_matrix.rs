@@ -26,7 +26,7 @@ use temporal_sampling::api::{
 
 /// Bursty reference stream: empty, tiny, and huge batches, sizes never
 /// multiples of the shard count, so the balanced splitter's deviation
-/// ledger and the work-stealing sweep both stay busy across recoveries.
+/// ledger stays busy across recoveries.
 fn batch_at(t: u64) -> Vec<u64> {
     let size = [40u64, 0, 7, 90, 3, 0, 250, 11, 0, 0, 64, 1][t as usize % 12];
     (0..size).map(|i| t * 1_000 + i).collect()

@@ -1,6 +1,7 @@
 //! Ingest-throughput baseline: items/sec and ns/item for every sampler
 //! across unsaturated / saturated / bursty regimes, on both the
-//! monomorphized fast path and the object-safe `dyn` adapter.
+//! monomorphized fast path and the public `api::Sampler` facade (plus the
+//! jump-ingest and automatic-checkpoint paths for R-TBS and T-TBS).
 //!
 //! ```text
 //! cargo run --release -p tbs-bench --bin bench_throughput            # full run, writes BENCH_throughput.json

@@ -5,17 +5,17 @@
 //! sliding window, a uniform reservoir), repeated over independent runs.
 
 use crate::output::{f, print_table, write_csv};
-use rand::Rng;
-use rand::SeedableRng;
-use tbs_core::{BatchedReservoir, CountWindow, RTbs};
-use tbs_datagen::gmm::{GmmGenerator, LabeledPoint};
+use rand::{Rng, RngCore, SeedableRng};
+use tbs_datagen::gmm::GmmGenerator;
 use tbs_datagen::modes::ModeSchedule;
 use tbs_datagen::stream::StreamPlan;
 use tbs_datagen::BatchSizeProcess;
-use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use tbs_ml::pipeline::{mean_error_series, run_stream, Contender, RunOutput};
+use tbs_ml::metrics::SeriesSummary;
 use tbs_ml::KnnClassifier;
 use tbs_stats::rng::Xoshiro256PlusPlus;
+use temporal_sampling::api::{
+    mean_error_series, run_contenders, ModelManager, RetrainPolicy, RunSeries, SamplerConfig,
+};
 
 /// Paper defaults for the kNN experiments (§6.2).
 #[derive(Debug, Clone)]
@@ -54,9 +54,35 @@ impl KnnConfig {
     }
 }
 
-/// Build the standard contender set for one run.
-fn contenders(cfg: &KnnConfig) -> Vec<Contender<LabeledPoint>> {
-    let mut list: Vec<Contender<LabeledPoint>> = cfg
+/// One run of `plan` over a fresh paper GMM stream drawn from `seed`: a
+/// kNN manager per named config, retraining every batch, each sampler
+/// seeded from the run's RNG.
+fn knn_run(
+    seed: u64,
+    plan: &StreamPlan,
+    contenders: Vec<(String, SamplerConfig)>,
+    k: usize,
+) -> Vec<RunSeries> {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let gmm = GmmGenerator::paper(&mut rng);
+    let mut managers: Vec<_> = contenders
+        .into_iter()
+        .map(|(name, config)| {
+            let sampler = config.seed(rng.next_u64()).build().expect("valid config");
+            let mgr = ModelManager::new(sampler, KnnClassifier::new(k), RetrainPolicy::EveryBatch);
+            (name, mgr)
+        })
+        .collect();
+    let batches = plan.layout(&mut rng).into_iter().map(|p| {
+        let batch = gmm.sample_batch(p.mode, p.size as usize, &mut rng);
+        (batch, p.measured_time.is_some())
+    });
+    run_contenders(&mut managers, batches).expect("single-node ingest never fails")
+}
+
+/// The standard contender set: R-TBS at each λ, SW and Unif.
+fn contenders(cfg: &KnnConfig) -> Vec<(String, SamplerConfig)> {
+    let mut list: Vec<(String, SamplerConfig)> = cfg
         .lambdas
         .iter()
         .map(|&lambda| {
@@ -65,30 +91,18 @@ fn contenders(cfg: &KnnConfig) -> Vec<Contender<LabeledPoint>> {
             } else {
                 format!("R-TBS(l={lambda})")
             };
-            Contender::new(
-                name,
-                Box::new(RTbs::new(lambda, cfg.n)),
-                Box::new(KnnClassifier::new(cfg.k)),
-            )
+            (name, SamplerConfig::rtbs(lambda, cfg.n))
         })
         .collect();
-    list.push(Contender::new(
-        "SW",
-        Box::new(CountWindow::new(cfg.n)),
-        Box::new(KnnClassifier::new(cfg.k)),
-    ));
-    list.push(Contender::new(
-        "Unif",
-        Box::new(BatchedReservoir::new(cfg.n)),
-        Box::new(KnnClassifier::new(cfg.k)),
-    ));
+    list.push(("SW".into(), SamplerConfig::sliding_count(cfg.n)));
+    list.push(("Unif".into(), SamplerConfig::uniform(cfg.n)));
     list
 }
 
 /// Result of a multi-run kNN experiment.
 pub struct KnnResult {
     /// Mean error series per contender (averaged over runs).
-    pub mean_series: Vec<RunOutput>,
+    pub mean_series: Vec<RunSeries>,
     /// Per-contender averaged accuracy/ES summaries (ES from t = 20).
     pub summaries: Vec<(String, SeriesSummary)>,
 }
@@ -102,30 +116,18 @@ pub fn run_knn(cfg: &KnnConfig) -> KnnResult {
         batch_sizes: cfg.batch,
         schedule: cfg.schedule,
     };
-    let mut all_runs: Vec<Vec<RunOutput>> = Vec::with_capacity(cfg.runs);
-    for run in 0..cfg.runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(cfg.seed.wrapping_add(run as u64));
-        let gmm = GmmGenerator::paper(&mut rng);
-        let mut cs = contenders(cfg);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut cs,
-            &mut rng,
-        );
-        all_runs.push(outputs);
-    }
-    let mean_series = mean_error_series(&all_runs);
-    let n_contenders = mean_series.len();
-    let summaries = (0..n_contenders)
-        .map(|ci| {
-            let per_run: Vec<SeriesSummary> = all_runs
-                .iter()
-                .map(|run| summarize_series(&run[ci].errors, 20, 0.10))
-                .collect();
-            (all_runs[0][ci].name.clone(), average_summaries(&per_run))
+    let all_runs: Vec<Vec<RunSeries>> = (0..cfg.runs)
+        .map(|run| {
+            knn_run(
+                cfg.seed.wrapping_add(run as u64),
+                &plan,
+                contenders(cfg),
+                cfg.k,
+            )
         })
         .collect();
+    let mean_series = mean_error_series(&all_runs);
+    let summaries = super::averaged_summaries(&all_runs, 20, 0.10);
     KnnResult {
         mean_series,
         summaries,
@@ -272,7 +274,6 @@ pub fn smoke_run() -> KnnResult {
 /// Ablation: misclassification of R-TBS vs B-Chao under slow, bursty
 /// streams where Chao's overweight items distort inclusion probabilities.
 pub fn run_chao_ablation(runs: usize) {
-    use tbs_core::BChao;
     let schedule = ModeSchedule::periodic(10, 10);
     let plan = StreamPlan {
         warmup_batches: 100,
@@ -280,43 +281,18 @@ pub fn run_chao_ablation(runs: usize) {
         batch_sizes: BatchSizeProcess::Deterministic(100),
         schedule,
     };
-    let mut summaries: Vec<Vec<SeriesSummary>> = vec![Vec::new(), Vec::new()];
-    for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(99_000 + run as u64);
-        let gmm = GmmGenerator::paper(&mut rng);
-        let mut cs: Vec<Contender<LabeledPoint>> = vec![
-            Contender::new(
-                "R-TBS",
-                Box::new(RTbs::new(0.07, 1000)),
-                Box::new(KnnClassifier::new(7)),
-            ),
-            Contender::new(
-                "B-Chao",
-                Box::new(BChao::new(0.07, 1000)),
-                Box::new(KnnClassifier::new(7)),
-            ),
-        ];
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut cs,
-            &mut rng,
-        );
-        for (i, o) in outputs.iter().enumerate() {
-            summaries[i].push(summarize_series(&o.errors, 20, 0.10));
-        }
-    }
-    let rows: Vec<Vec<String>> = ["R-TBS", "B-Chao"]
-        .iter()
-        .zip(&summaries)
-        .map(|(name, s)| {
-            let avg = average_summaries(s);
-            vec![
-                name.to_string(),
-                f(avg.mean_error, 1),
-                f(avg.expected_shortfall, 1),
-            ]
+    let all_runs: Vec<Vec<RunSeries>> = (0..runs)
+        .map(|run| {
+            let contenders = vec![
+                ("R-TBS".into(), SamplerConfig::rtbs(0.07, 1000)),
+                ("B-Chao".into(), SamplerConfig::chao(0.07, 1000)),
+            ];
+            knn_run(99_000 + run as u64, &plan, contenders, 7)
         })
+        .collect();
+    let rows: Vec<Vec<String>> = super::averaged_summaries(&all_runs, 20, 0.10)
+        .into_iter()
+        .map(|(name, avg)| vec![name, f(avg.mean_error, 1), f(avg.expected_shortfall, 1)])
         .collect();
     print_table(
         "Ablation — R-TBS vs B-Chao under P(10,10)",

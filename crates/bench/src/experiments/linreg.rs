@@ -9,16 +9,17 @@
 //!            retain the previous context, and its error fluctuates wildly.
 
 use crate::output::{f, print_table, write_csv};
-use rand::SeedableRng;
-use tbs_core::{BatchedReservoir, CountWindow, RTbs};
+use rand::{RngCore, SeedableRng};
 use tbs_datagen::modes::ModeSchedule;
-use tbs_datagen::regression::{RegressionGenerator, RegressionPoint};
+use tbs_datagen::regression::RegressionGenerator;
 use tbs_datagen::stream::StreamPlan;
 use tbs_datagen::BatchSizeProcess;
-use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use tbs_ml::pipeline::{mean_error_series, run_stream, Contender, RunOutput};
+use tbs_ml::metrics::SeriesSummary;
 use tbs_ml::LinearRegression;
 use tbs_stats::rng::Xoshiro256PlusPlus;
+use temporal_sampling::api::{
+    mean_error_series, run_contenders, ModelManager, RetrainPolicy, RunSeries, SamplerConfig,
+};
 
 /// One panel configuration.
 #[derive(Debug, Clone, Copy)]
@@ -60,32 +61,12 @@ pub fn panels() -> [LinregPanel; 3] {
 /// Multi-run result for one panel.
 pub struct LinregResult {
     /// Mean error series per contender.
-    pub mean_series: Vec<RunOutput>,
+    pub mean_series: Vec<RunSeries>,
     /// Averaged summaries (MSE over all points, 10% ES from t = 20).
     pub summaries: Vec<(String, SeriesSummary)>,
     /// Mean R-TBS sample size over the measured phase (to witness the
     /// unsaturated 1479-item equilibrium).
     pub rtbs_mean_sample_size: f64,
-}
-
-fn contenders(n: usize, lambda: f64) -> Vec<Contender<RegressionPoint>> {
-    vec![
-        Contender::new(
-            "R-TBS",
-            Box::new(RTbs::new(lambda, n)),
-            Box::new(LinearRegression::new(true)),
-        ),
-        Contender::new(
-            "SW",
-            Box::new(CountWindow::new(n)),
-            Box::new(LinearRegression::new(true)),
-        ),
-        Contender::new(
-            "Unif",
-            Box::new(BatchedReservoir::new(n)),
-            Box::new(LinearRegression::new(true)),
-        ),
-    ]
 }
 
 /// Run one panel with the paper's λ = 0.07, b = 100.
@@ -100,25 +81,28 @@ pub fn run_panel(panel: &LinregPanel, runs: usize, seed: u64) -> LinregResult {
     let mut all_runs = Vec::with_capacity(runs);
     for run in 0..runs {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed.wrapping_add(run as u64));
-        let mut cs = contenders(panel.n, 0.07);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| generator.sample_batch(mode, size, rng),
-            &mut cs,
-            &mut rng,
-        );
-        all_runs.push(outputs);
-    }
-    let mean_series = mean_error_series(&all_runs);
-    let summaries = (0..mean_series.len())
-        .map(|ci| {
-            let per_run: Vec<SeriesSummary> = all_runs
-                .iter()
-                .map(|run| summarize_series(&run[ci].errors, 20, 0.10))
-                .collect();
-            (all_runs[0][ci].name.clone(), average_summaries(&per_run))
+        let mut managers: Vec<_> = [
+            ("R-TBS", SamplerConfig::rtbs(0.07, panel.n)),
+            ("SW", SamplerConfig::sliding_count(panel.n)),
+            ("Unif", SamplerConfig::uniform(panel.n)),
+        ]
+        .into_iter()
+        .map(|(name, config)| {
+            let sampler = config.seed(rng.next_u64()).build().expect("valid config");
+            let model = LinearRegression::new(true);
+            let mgr = ModelManager::new(sampler, model, RetrainPolicy::EveryBatch);
+            (name, mgr)
         })
         .collect();
+        let batches = plan.layout(&mut rng).into_iter().map(|p| {
+            let batch = generator.sample_batch(p.mode, p.size as usize, &mut rng);
+            (batch, p.measured_time.is_some())
+        });
+        all_runs
+            .push(run_contenders(&mut managers, batches).expect("single-node ingest never fails"));
+    }
+    let mean_series = mean_error_series(&all_runs);
+    let summaries = super::averaged_summaries(&all_runs, 20, 0.10);
     let rtbs_sizes = &mean_series[0].sample_sizes;
     let rtbs_mean_sample_size = rtbs_sizes.iter().sum::<f64>() / rtbs_sizes.len().max(1) as f64;
     LinregResult {

@@ -14,3 +14,24 @@ pub mod serving;
 pub mod theory;
 pub mod throughput;
 pub mod wire;
+
+use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
+use temporal_sampling::api::RunSeries;
+
+/// Each contender's error series summarized per run (tail ES from batch
+/// `es_start` at level `es_level`), averaged over the runs.
+fn averaged_summaries(
+    runs: &[Vec<RunSeries>],
+    es_start: usize,
+    es_level: f64,
+) -> Vec<(String, SeriesSummary)> {
+    (0..runs[0].len())
+        .map(|ci| {
+            let per_run: Vec<SeriesSummary> = runs
+                .iter()
+                .map(|run| summarize_series(&run[ci].errors, es_start, es_level))
+                .collect();
+            (runs[0][ci].name.clone(), average_summaries(&per_run))
+        })
+        .collect()
+}

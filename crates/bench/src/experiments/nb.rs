@@ -6,19 +6,19 @@
 //! batches.
 
 use crate::output::{f, print_table, write_csv};
-use rand::SeedableRng;
-use tbs_core::traits::BatchSampler;
-use tbs_core::{BatchedReservoir, CountWindow, RTbs};
-use tbs_datagen::text::{Message, UsenetGenerator};
-use tbs_ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use tbs_ml::pipeline::OnlineModel;
+use rand::{RngCore, SeedableRng};
+use tbs_datagen::text::UsenetGenerator;
+use tbs_ml::metrics::SeriesSummary;
 use tbs_ml::NaiveBayes;
 use tbs_stats::rng::Xoshiro256PlusPlus;
+use temporal_sampling::api::{
+    mean_error_series, run_contenders, ModelManager, RetrainPolicy, RunSeries, SamplerConfig,
+};
 
 /// Result of the NB experiment.
 pub struct NbResult {
     /// Mean error series per contender (R-TBS, SW, Unif).
-    pub mean_series: Vec<(String, Vec<f64>)>,
+    pub mean_series: Vec<RunSeries>,
     /// Averaged summaries (misclassification %, 20% ES over all batches).
     pub summaries: Vec<(String, SeriesSummary)>,
 }
@@ -27,56 +27,33 @@ pub struct NbResult {
 pub fn run_nb(runs: usize, lambda: f64, seed: u64) -> NbResult {
     let generator = UsenetGenerator::paper();
     let vocab = generator.vocab_size() as usize;
-    let names = ["R-TBS", "SW", "Unif"];
-    let mut series_acc: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let mut summaries: Vec<Vec<SeriesSummary>> = vec![Vec::new(); 3];
-
+    let mut all_runs: Vec<Vec<RunSeries>> = Vec::with_capacity(runs);
     for run in 0..runs {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed.wrapping_add(run as u64));
         let stream = generator.stream(1500, 50, &mut rng);
-        let mut samplers: Vec<Box<dyn BatchSampler<Message>>> = vec![
-            Box::new(RTbs::new(lambda, 300)),
-            Box::new(CountWindow::new(300)),
-            Box::new(BatchedReservoir::new(300)),
-        ];
-        let mut models: Vec<NaiveBayes> = (0..3).map(|_| NaiveBayes::new(vocab)).collect();
-        let mut errors: Vec<Vec<f64>> = vec![Vec::new(); 3];
-        for batch in &stream {
-            for i in 0..3 {
-                errors[i].push(models[i].batch_error(batch));
-                samplers[i].observe(batch.clone(), &mut rng);
-                let sample = samplers[i].sample(&mut rng);
-                models[i].retrain(&sample);
-            }
-        }
-        for i in 0..3 {
-            // 20% ES over ALL batches (es_start = 0) — the stream is short.
-            summaries[i].push(summarize_series(&errors[i], 0, 0.20));
-            if series_acc[i].is_empty() {
-                series_acc[i] = errors[i].clone();
-            } else {
-                for (a, e) in series_acc[i].iter_mut().zip(&errors[i]) {
-                    *a += e;
-                }
-            }
-        }
+        let mut managers: Vec<_> = [
+            ("R-TBS", SamplerConfig::rtbs(lambda, 300)),
+            ("SW", SamplerConfig::sliding_count(300)),
+            ("Unif", SamplerConfig::uniform(300)),
+        ]
+        .into_iter()
+        .map(|(name, config)| {
+            let sampler = config.seed(rng.next_u64()).build().expect("valid config");
+            let model = NaiveBayes::new(vocab);
+            let mgr = ModelManager::new(sampler, model, RetrainPolicy::EveryBatch);
+            (name, mgr)
+        })
+        .collect();
+        // No warm-up: every batch is measured.
+        let batches = stream.into_iter().map(|batch| (batch, true));
+        all_runs
+            .push(run_contenders(&mut managers, batches).expect("single-node ingest never fails"));
     }
-    for s in &mut series_acc {
-        for v in s.iter_mut() {
-            *v /= runs as f64;
-        }
-    }
+    // 20% ES over ALL batches (es_start = 0) — the stream is short.
+    let summaries = super::averaged_summaries(&all_runs, 0, 0.20);
     NbResult {
-        mean_series: names
-            .iter()
-            .map(|n| n.to_string())
-            .zip(series_acc)
-            .collect(),
-        summaries: names
-            .iter()
-            .map(|n| n.to_string())
-            .zip(summaries.iter().map(|s| average_summaries(s)))
-            .collect(),
+        mean_series: mean_error_series(&all_runs),
+        summaries,
     }
 }
 
@@ -84,13 +61,13 @@ pub fn run_nb(runs: usize, lambda: f64, seed: u64) -> NbResult {
 pub fn run_fig13(runs: usize) -> NbResult {
     let result = run_nb(runs, 0.3, 130_000);
     let mut header = vec!["t".to_string()];
-    header.extend(result.mean_series.iter().map(|(n, _)| n.clone()));
+    header.extend(result.mean_series.iter().map(|o| o.name.clone()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let len = result.mean_series[0].1.len();
+    let len = result.mean_series[0].errors.len();
     let rows: Vec<Vec<String>> = (0..len)
         .map(|t| {
             let mut row = vec![t.to_string()];
-            row.extend(result.mean_series.iter().map(|(_, s)| f(s[t], 2)));
+            row.extend(result.mean_series.iter().map(|o| f(o.errors[t], 2)));
             row
         })
         .collect();

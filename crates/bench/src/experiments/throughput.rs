@@ -19,9 +19,9 @@
 //!
 //! Each sampler is measured twice: on the **fast** path (concrete sampler
 //! type + concrete RNG — fully monomorphized, no virtual dispatch) and on
-//! the **dyn** path (`Box<dyn BatchSampler<u64>>` + `&mut dyn RngCore`,
-//! the heterogeneous-harness adapter). The spread between the two is the
-//! price of object safety.
+//! the **facade** path (the public `api::Sampler` handle, which
+//! enum-dispatches onto the same code). The spread between the two is the
+//! price of the public API.
 //!
 //! Results go to `results/bench_throughput.csv` and to a machine-readable
 //! `BENCH_throughput.json` (see [`rows_to_json`]) whose schema downstream
@@ -31,8 +31,7 @@ use crate::json::Json;
 use crate::output::{f, print_table, write_csv};
 use std::time::Instant;
 use tbs_core::{
-    BAres, BChao, BTbs, BatchSampler, BatchedReservoir, CountWindow, IngestMode, RTbs, TTbs,
-    TimeWindow,
+    BAres, BChao, BTbs, BatchedReservoir, CountWindow, IngestMode, RTbs, TTbs, TimeWindow,
 };
 use tbs_stats::rng::Xoshiro256PlusPlus;
 use temporal_sampling::api::SamplerConfig;
@@ -167,24 +166,25 @@ impl Regime {
 }
 
 /// Which API the sampler was driven through.
+///
+/// The discriminants feed `combo_seed`; they skip 1, the retired `dyn`
+/// path's slot, so every remaining row keeps the seed it was measured
+/// with in the committed baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApiPath {
     /// Concrete sampler + concrete RNG: monomorphized hot path.
-    Fast,
-    /// `Box<dyn BatchSampler<u64>>` + `&mut dyn RngCore`: object-safe
-    /// adapter, as used by heterogeneous harnesses.
-    Dyn,
+    Fast = 0,
     /// The public `temporal_sampling::api::Sampler` handle: enum
     /// dispatch onto the same monomorphized fast path, with the handle
     /// owning its RNG. Must stay within ±10% of `fast` (the enum match
     /// is a jump table, not a vtable).
-    Facade,
+    Facade = 2,
     /// The monomorphized fast path with `IngestMode::Jump`: batch-level
     /// acceptance sampling (binomial counts + windowed swaps, geometric
     /// skips) instead of per-item RNG draws. Only R-TBS and T-TBS
     /// implement it; the saturated R-TBS row is gated at ≥ 2× the
     /// per-item `fast` row measured in the same run.
-    Jump,
+    Jump = 3,
     /// The facade handle with jump ingest **plus** an automatic durable
     /// checkpoint every [`CHECKPOINT_EVERY`] batches
     /// (`CheckpointPolicy::EveryBatches` into a `CheckpointStore` ring on
@@ -192,15 +192,14 @@ pub enum ApiPath {
     /// durability costs a saturated ingest loop; the saturated R-TBS row
     /// must keep at least half of the `jump` row measured in the same run
     /// (see [`check_checkpoint_overhead`]).
-    Checkpoint,
+    Checkpoint = 4,
 }
 
 impl ApiPath {
     /// All paths, in report order.
-    pub fn all() -> [ApiPath; 5] {
+    pub fn all() -> [ApiPath; 4] {
         [
             ApiPath::Fast,
-            ApiPath::Dyn,
             ApiPath::Facade,
             ApiPath::Jump,
             ApiPath::Checkpoint,
@@ -211,7 +210,6 @@ impl ApiPath {
     pub fn label(self) -> &'static str {
         match self {
             ApiPath::Fast => "fast",
-            ApiPath::Dyn => "dyn",
             ApiPath::Facade => "facade",
             ApiPath::Jump => "jump",
             ApiPath::Checkpoint => "checkpoint",
@@ -274,7 +272,7 @@ impl SamplerKind {
         ]
     }
 
-    /// Label used in CSV/JSON output (matches `BatchSampler::name`).
+    /// Label used in CSV/JSON output (matches `api::Sampler::name`).
     pub fn label(self) -> &'static str {
         match self {
             SamplerKind::RTbs => "R-TBS",
@@ -294,7 +292,7 @@ impl SamplerKind {
 pub struct ThroughputRow {
     /// Sampler label (`R-TBS`, `T-TBS`, …).
     pub sampler: &'static str,
-    /// API path label (`fast` or `dyn`).
+    /// API path label (`fast`, `facade`, `jump` or `checkpoint`).
     pub path: &'static str,
     /// Regime label (`unsaturated`, `saturated`, `bursty`).
     pub regime: &'static str,
@@ -375,21 +373,6 @@ fn facade_config(kind: SamplerKind, regime: Regime) -> SamplerConfig {
     }
 }
 
-/// Construct the boxed, type-erased variant of `kind` for the dyn path.
-fn boxed_sampler(kind: SamplerKind, regime: Regime) -> Box<dyn BatchSampler<u64>> {
-    let (n, lambda) = (regime.capacity(), regime.lambda());
-    match kind {
-        SamplerKind::RTbs => Box::new(RTbs::new(lambda, n)),
-        SamplerKind::TTbs => Box::new(TTbs::new(lambda, regime.ttbs_target(), regime.mean_batch())),
-        SamplerKind::BTbs => Box::new(BTbs::new(lambda)),
-        SamplerKind::Unif => Box::new(BatchedReservoir::new(n)),
-        SamplerKind::Chao => Box::new(BChao::new(lambda, n)),
-        SamplerKind::SlidingCount => Box::new(CountWindow::new(n)),
-        SamplerKind::SlidingTime => Box::new(TimeWindow::new(5.0)),
-        SamplerKind::ARes => Box::new(BAres::new(lambda, n)),
-    }
-}
-
 /// Measure one (sampler, path, regime) combination.
 pub fn measure_one(
     cfg: &ThroughputConfig,
@@ -400,10 +383,6 @@ pub fn measure_one(
     let seed = combo_seed(cfg, kind, path, regime);
     let (n, lambda) = (regime.capacity(), regime.lambda());
     let (items, elapsed_ns) = match path {
-        ApiPath::Dyn => {
-            let mut s = boxed_sampler(kind, regime);
-            drive(cfg, regime, seed, move |batch, rng| s.observe(batch, rng))
-        }
         // The facade handle owns its RNG (seeded from the same combo
         // seed), so the driver-side rng is unused here — what is timed
         // is exactly what an `api` caller pays per `observe`.
@@ -788,7 +767,7 @@ mod tests {
         let rows = run_throughput(&cfg);
         // 8 samplers × 3 per-item paths × 3 regimes, plus jump and
         // checkpoint rows for the two samplers that implement the mode.
-        assert_eq!(rows.len(), 8 * 3 * 3 + 2 * 3 + 2 * 3);
+        assert_eq!(rows.len(), 8 * 2 * 3 + 2 * 3 + 2 * 3);
         assert_eq!(rows.iter().filter(|r| r.path == "jump").count(), 6);
         assert_eq!(rows.iter().filter(|r| r.path == "checkpoint").count(), 6);
         for r in &rows {

@@ -8,7 +8,6 @@
 //! the sample (decay rate λ = 0) — this is the `Unif` baseline of §6.
 
 use crate::checkpoint::{CheckpointError, Reader, Wire, Writer};
-use crate::traits::adapt_batch_sampler;
 use crate::util::retain_random;
 use rand::Rng;
 use tbs_stats::hypergeometric::hypergeometric;
@@ -16,8 +15,7 @@ use tbs_stats::hypergeometric::hypergeometric;
 /// Uniform bounded reservoir over a batch stream.
 ///
 /// The inherent `observe` method is the monomorphized, allocation-free
-/// fast path; the [`crate::traits::BatchSampler`] impl is a thin
-/// `dyn`-RNG adapter over it.
+/// fast path.
 #[derive(Debug, Clone)]
 pub struct BatchedReservoir<T> {
     items: Vec<T>,
@@ -160,8 +158,6 @@ impl<T: Wire> BatchedReservoir<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BatchedReservoir);
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! 2015) used for time-biased edge sampling in dynamic graphs.
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
+use crate::util::check_gap;
 use crate::util::{retain_random, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::binomial;
@@ -21,8 +21,7 @@ use tbs_stats::binomial::binomial;
 /// Bernoulli time-biased sampler with decay rate λ.
 ///
 /// The inherent `observe`/`observe_after` methods are the monomorphized,
-/// allocation-free fast path; the [`crate::traits::BatchSampler`] impl is
-/// a thin `dyn`-RNG adapter over them.
+/// allocation-free fast path.
 #[derive(Debug, Clone)]
 pub struct BTbs<T> {
     items: Vec<T>,
@@ -154,9 +153,6 @@ impl<T: Wire> BTbs<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BTbs);
-adapt_timed_batch_sampler!(BTbs);
 
 #[cfg(test)]
 mod tests {

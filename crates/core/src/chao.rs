@@ -18,15 +18,14 @@
 //! which the benchmarks compare against R-TBS's lighter state.
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
+use crate::util::check_gap;
 use crate::util::DecayCache;
 use rand::Rng;
 
 /// Batched time-decayed Chao sampler with capacity `n` and decay rate λ.
 ///
 /// The inherent `observe`/`observe_after` methods are the monomorphized
-/// fast path; the [`crate::traits::BatchSampler`] impl is a thin
-/// `dyn`-RNG adapter over them. In the well-fed steady state (no
+/// fast path. In the well-fed steady state (no
 /// overweight items) per-batch processing allocates nothing; the
 /// overweight bookkeeping of Algorithm 7 allocates scratch vectors when it
 /// actually triggers — that cost is part of what the benchmarks compare
@@ -311,9 +310,6 @@ impl<T: Wire> BChao<T> {
         })
     }
 }
-
-adapt_batch_sampler!(BChao);
-adapt_timed_batch_sampler!(BChao);
 
 #[cfg(test)]
 mod tests {

@@ -40,22 +40,15 @@
 //! multi-core engine in `tbs-distributed` ingest with zero cross-shard
 //! coordination.
 //!
-//! ## Two API layers
+//! ## One sampler layer, one facade
 //!
-//! Every sampler's ingest API exists twice (see [`traits`] for the full
-//! rationale):
-//!
-//! * **inherent generic methods** (`observe<R: Rng>`, `observe_after`,
-//!   `sample`, `sample_into`) — the monomorphized fast path. With a
-//!   concrete RNG the per-batch transition inlines every random draw and
-//!   performs zero steady-state heap allocations beyond the caller-provided
-//!   batch. Concrete call sites get this automatically: inherent methods
-//!   shadow the trait methods of the same name.
-//! * the object-safe [`traits::BatchSampler`] / [`traits::TimedBatchSampler`]
-//!   (`&mut dyn RngCore`) — thin adapters over the inherent methods, for
-//!   heterogeneous `Box<dyn BatchSampler<T>>` collections (the ML pipeline,
-//!   the evaluation harness). The `bench_throughput` binary in `tbs-bench`
-//!   measures the dispatch cost of this layer (`fast` vs `dyn` rows).
+//! Every sampler's ingest API is a set of **inherent generic methods**
+//! (`observe<R: Rng>`, `observe_after`, `sample`, `sample_into`) — the
+//! monomorphized fast path. With a concrete RNG the per-batch transition
+//! inlines every random draw and performs zero steady-state heap
+//! allocations beyond the caller-provided batch. Code that is generic over
+//! the sampler (e.g. [`verify::measure_inclusion`]) takes these methods as
+//! fn items rather than through a trait.
 //!
 //! Service code should usually enter through the root crate's
 //! `temporal_sampling::api` facade instead: a validating builder over all
@@ -63,7 +56,9 @@
 //! owns its RNG, and versioned snapshot/restore built on [`checkpoint`]
 //! and each sampler's `save_state`/`load_state` pair. The facade's
 //! `observe` enum-dispatches straight onto the inherent fast path
-//! (`facade` rows in the same benchmark).
+//! (`facade` vs `fast` rows of the `bench_throughput` binary in
+//! `tbs-bench`), and its `ModelManager` runs the paper's §6
+//! retrain loop — heterogeneous sampler comparisons go through it.
 //!
 //! ## Example
 //!
@@ -108,7 +103,6 @@ pub mod notify;
 pub mod rtbs;
 pub mod sliding;
 pub mod theory;
-pub mod traits;
 pub mod ttbs;
 pub mod util;
 pub mod verify;
@@ -127,5 +121,4 @@ pub use merge::{
 };
 pub use rtbs::RTbs;
 pub use sliding::{CountWindow, TimeWindow};
-pub use traits::{BatchSampler, TimedBatchSampler};
 pub use ttbs::TTbs;

@@ -22,7 +22,7 @@ use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Write
 use crate::downsample::downsample_with;
 use crate::jumps::IngestMode;
 use crate::latent::LatentSample;
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
+use crate::util::check_gap;
 use crate::util::{uniform_index, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::CachedBinomial;
@@ -39,8 +39,7 @@ use tbs_stats::rounding::stochastic_round;
 /// ingest performs **zero heap allocations** beyond the caller-provided
 /// batch: victims are overwritten by in-place swaps, the unit-gap decay
 /// factor is memoized, and the latent sample's buffers persist at their
-/// high-water capacity. The [`crate::traits::BatchSampler`] impl is a thin
-/// `dyn`-RNG adapter over the same methods for heterogeneous harnesses.
+/// high-water capacity.
 #[derive(Debug, Clone)]
 pub struct RTbs<T> {
     latent: LatentSample<T>,
@@ -677,9 +676,6 @@ impl<T: Clone> RTbs<T> {
         self.latent.realize_into(rng, out);
     }
 }
-
-adapt_batch_sampler!(RTbs);
-adapt_timed_batch_sampler!(RTbs);
 
 #[cfg(test)]
 mod tests {

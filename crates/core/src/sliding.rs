@@ -12,7 +12,7 @@
 //!   empty when the stream dries up — like any wall-clock scheme).
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
+use crate::util::check_gap;
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -139,8 +139,6 @@ impl<T: Wire> CountWindow<T> {
         })
     }
 }
-
-adapt_batch_sampler!(CountWindow);
 
 /// All items that arrived strictly within the last `width` time units.
 #[derive(Debug, Clone)]
@@ -302,9 +300,6 @@ impl<T: Wire> TimeWindow<T> {
         })
     }
 }
-
-adapt_batch_sampler!(TimeWindow);
-adapt_timed_batch_sampler!(TimeWindow);
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 
 use crate::checkpoint::{check_non_negative, CheckpointError, Reader, Wire, Writer};
 use crate::jumps::{IngestMode, JumpCursor, JUMP_GEOMETRIC_MAX_Q};
-use crate::traits::{adapt_batch_sampler, adapt_timed_batch_sampler, check_gap};
+use crate::util::check_gap;
 use crate::util::{retain_random, retain_random_cheap, DecayCache};
 use rand::Rng;
 use tbs_stats::binomial::{binomial, CachedBinomial};
@@ -21,8 +21,7 @@ use tbs_stats::geometric::geometric;
 /// Targeted-size time-biased sampler.
 ///
 /// The inherent `observe`/`observe_after` methods are the monomorphized,
-/// allocation-free fast path; the [`crate::traits::BatchSampler`] impl is
-/// a thin `dyn`-RNG adapter over them.
+/// allocation-free fast path.
 #[derive(Debug, Clone)]
 pub struct TTbs<T> {
     items: Vec<T>,
@@ -334,9 +333,6 @@ impl<T: Wire> TTbs<T> {
         Ok(s)
     }
 }
-
-adapt_batch_sampler!(TTbs);
-adapt_timed_batch_sampler!(TTbs);
 
 #[cfg(test)]
 mod tests {

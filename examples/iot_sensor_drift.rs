@@ -7,13 +7,14 @@
 // A fleet of sensors emits readings whose class distribution is disrupted
 // by a singular event (say, a plant-wide maintenance window) and then
 // reverts. A kNN fault classifier is retrained every batch on the
-// maintained sample — each contender is one `api::ModelManager` and all
-// three see the identical stream. Sliding windows adapt fast but
+// maintained sample — each contender is one `api::ModelManager`, and
+// `api::run_contenders` feeds all three the identical stream. Sliding windows adapt fast but
 // *forget* the normal regime — when it returns, their error spikes; the
 // uniform reservoir never adapts; R-TBS does both.
 
-use rand::SeedableRng;
-use temporal_sampling::datagen::gmm::{GmmGenerator, LabeledPoint};
+use rand::{RngCore, SeedableRng};
+use temporal_sampling::api::run_contenders;
+use temporal_sampling::datagen::gmm::GmmGenerator;
 use temporal_sampling::datagen::modes::ModeSchedule;
 use temporal_sampling::datagen::stream::StreamPlan;
 use temporal_sampling::datagen::BatchSizeProcess;
@@ -31,34 +32,33 @@ fn main() {
         schedule: ModeSchedule::single_event(), // abnormal on [10, 20)
     };
 
-    let n = 1000;
-    let manager = |config: SamplerConfig, seed: u64| -> ModelManager<LabeledPoint, KnnClassifier> {
-        let sampler = config.seed(seed).build().expect("valid config");
-        ModelManager::new(sampler, KnnClassifier::new(7), RetrainPolicy::EveryBatch)
-    };
-    let mut contenders = [
-        ("R-TBS", manager(SamplerConfig::rtbs(0.07, n), 31)),
-        ("SW", manager(SamplerConfig::sliding_count(n), 32)),
-        ("Unif", manager(SamplerConfig::uniform(n), 33)),
-    ];
-
-    // Every manager sees the same generated stream; errors are recorded
-    // in the measured phase only (test-then-train, so all scores are
+    // One `api::ModelManager` per contender, each sampler seeded from the
+    // stream's RNG; `run_contenders` feeds them the same stream and records
+    // measured-phase errors (test-then-train, so all scores are
     // out-of-sample).
-    let mut errors: Vec<Vec<f64>> = vec![Vec::new(); contenders.len()];
-    for planned in plan.layout(&mut rng) {
-        let batch = sensors.sample_batch(planned.mode, planned.size as usize, &mut rng);
-        for ((_, mgr), errs) in contenders.iter_mut().zip(&mut errors) {
-            let report = mgr.ingest(batch.clone()).expect("ingest pipeline healthy");
-            if planned.measured_time.is_some() {
-                errs.push(report.batch_error);
-            }
-        }
-    }
+    let n = 1000;
+    let mut contenders: Vec<_> = [
+        ("R-TBS", SamplerConfig::rtbs(0.07, n)),
+        ("SW", SamplerConfig::sliding_count(n)),
+        ("Unif", SamplerConfig::uniform(n)),
+    ]
+    .into_iter()
+    .map(|(name, config)| {
+        let sampler = config.seed(rng.next_u64()).build().expect("valid config");
+        let mgr = ModelManager::new(sampler, KnnClassifier::new(7), RetrainPolicy::EveryBatch);
+        (name, mgr)
+    })
+    .collect();
+    let batches = plan.layout(&mut rng).into_iter().map(|p| {
+        let batch = sensors.sample_batch(p.mode, p.size as usize, &mut rng);
+        (batch, p.measured_time.is_some())
+    });
+    let series = run_contenders(&mut contenders, batches).expect("ingest pipeline healthy");
+    let errors: Vec<&Vec<f64>> = series.iter().map(|s| &s.errors).collect();
 
     println!("misclassification % per batch (event on t in [10,20)):");
     println!("{:>4} {:>8} {:>8} {:>8}", "t", "R-TBS", "SW", "Unif");
-    for (t, ((e0, e1), e2)) in errors[0].iter().zip(&errors[1]).zip(&errors[2]).enumerate() {
+    for (t, ((e0, e1), e2)) in errors[0].iter().zip(errors[1]).zip(errors[2]).enumerate() {
         let marker = if (10..20).contains(&t) { "*" } else { " " };
         println!("{t:>3}{marker} {e0:>8.1} {e1:>8.1} {e2:>8.1}");
     }

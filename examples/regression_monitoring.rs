@@ -10,10 +10,11 @@
 // the sliding window's 1600 — yet predicts better: a balanced mix of old
 // and new beats sheer volume.
 
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use temporal_sampling::api::run_contenders;
 use temporal_sampling::core::theory::equilibrium_weight;
 use temporal_sampling::datagen::modes::ModeSchedule;
-use temporal_sampling::datagen::regression::{RegressionGenerator, RegressionPoint};
+use temporal_sampling::datagen::regression::RegressionGenerator;
 use temporal_sampling::datagen::stream::StreamPlan;
 use temporal_sampling::datagen::BatchSizeProcess;
 use temporal_sampling::ml::LinearRegression;
@@ -32,35 +33,28 @@ fn main() {
         schedule: ModeSchedule::periodic(10, 10),
     };
 
-    let manager =
-        |config: SamplerConfig, seed: u64| -> ModelManager<RegressionPoint, LinearRegression> {
-            let sampler = config.seed(seed).build().expect("valid config");
-            ModelManager::new(
-                sampler,
-                LinearRegression::new(true),
-                RetrainPolicy::EveryBatch,
-            )
-        };
-    let mut contenders = [
-        ("R-TBS", manager(SamplerConfig::rtbs(lambda, n), 41)),
-        ("SW", manager(SamplerConfig::sliding_count(n), 42)),
-        ("Unif", manager(SamplerConfig::uniform(n), 43)),
-    ];
-
-    // Same stream for every manager; record measured-phase errors and
-    // training-sample sizes.
-    let mut errors: Vec<Vec<f64>> = vec![Vec::new(); contenders.len()];
-    let mut sizes: Vec<Vec<f64>> = vec![Vec::new(); contenders.len()];
-    for planned in plan.layout(&mut rng) {
-        let batch = generator.sample_batch(planned.mode, planned.size as usize, &mut rng);
-        for (i, (_, mgr)) in contenders.iter_mut().enumerate() {
-            let report = mgr.ingest(batch.clone()).expect("ingest pipeline healthy");
-            if planned.measured_time.is_some() {
-                errors[i].push(report.batch_error);
-                sizes[i].push(report.sample_size as f64);
-            }
-        }
-    }
+    // One `api::ModelManager` per contender, each sampler seeded from the
+    // stream's RNG; `run_contenders` feeds them the same stream and
+    // records measured-phase errors and expected sample sizes.
+    let mut contenders: Vec<_> = [
+        ("R-TBS", SamplerConfig::rtbs(lambda, n)),
+        ("SW", SamplerConfig::sliding_count(n)),
+        ("Unif", SamplerConfig::uniform(n)),
+    ]
+    .into_iter()
+    .map(|(name, config)| {
+        let sampler = config.seed(rng.next_u64()).build().expect("valid config");
+        let model = LinearRegression::new(true);
+        let mgr = ModelManager::new(sampler, model, RetrainPolicy::EveryBatch);
+        (name, mgr)
+    })
+    .collect();
+    let batches = plan.layout(&mut rng).into_iter().map(|p| {
+        let batch = generator.sample_batch(p.mode, p.size as usize, &mut rng);
+        (batch, p.measured_time.is_some())
+    });
+    let series = run_contenders(&mut contenders, batches).expect("ingest pipeline healthy");
+    let errors: Vec<&Vec<f64>> = series.iter().map(|s| &s.errors).collect();
 
     println!("per-batch MSE (mode flips every 10 batches):");
     println!("{:>4} {:>8} {:>8} {:>8}", "t", "R-TBS", "SW", "Unif");
@@ -74,13 +68,13 @@ fn main() {
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     println!(
         "\naggregate MSE: R-TBS {:.2}, SW {:.2}, Unif {:.2}",
-        mean(&errors[0]),
-        mean(&errors[1]),
-        mean(&errors[2])
+        mean(errors[0]),
+        mean(errors[1]),
+        mean(errors[2])
     );
     println!(
         "R-TBS mean sample size {:.0} (predicted unsaturated equilibrium {:.0}) vs SW/Unif at {n}",
-        mean(&sizes[0]),
+        mean(&series[0].sample_sizes),
         equilibrium_weight(100.0, lambda),
     );
     println!(

@@ -19,7 +19,9 @@
 //! 3. **The retraining loop.** [`ModelManager`] closes the paper's
 //!    model-management loop (§6): per batch it scores out-of-sample,
 //!    updates the sample, and refits on a policy — every batch,
-//!    periodic, or drift-triggered.
+//!    periodic, or drift-triggered. [`run_contenders`] drives several
+//!    managers over one stream, which is how the paper's experiments
+//!    compare samplers.
 //! 4. **Batch-level ingest acceleration.** [`SamplerConfig::ingest_mode`]
 //!    selects between the per-item reference path and the exponential-
 //!    jumps path ([`IngestMode`]): binomial accept counts with windowed
@@ -101,7 +103,9 @@ pub use config::{
     Algorithm, CheckpointPolicy, IngestMode, PublishPolicy, SamplerConfig, TimeSemantics,
 };
 pub use error::TbsError;
-pub use manager::{IngestReport, ManagerMetrics, ModelManager};
+pub use manager::{
+    mean_error_series, run_contenders, IngestReport, ManagerMetrics, ModelManager, RunSeries,
+};
 pub use reader::SampleReader;
 pub use sampler::Sampler;
 pub use store::CheckpointStore;

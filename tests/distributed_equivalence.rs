@@ -42,6 +42,10 @@ fn drtbs_satisfies_relative_inclusion_property() {
                 seed,
             )
         },
+        |s, b, _| {
+            s.observe_batch(b).unwrap();
+        },
+        |s, r| s.realize_sample(r).unwrap(),
         &schedule,
         25_000,
         &mut rng,

@@ -73,7 +73,7 @@ fn nb_experiment_beats_chance_for_rtbs() {
         "R-TBS NB error {:.1}% too high",
         rtbs.mean_error
     );
-    assert_eq!(result.mean_series[0].1.len(), 30, "30 batches of 50");
+    assert_eq!(result.mean_series[0].errors.len(), 30, "30 batches of 50");
 }
 
 #[test]

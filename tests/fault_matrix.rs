@@ -151,6 +151,35 @@ fn fail_policy_surfaces_typed_errors_through_the_facade() {
 }
 
 #[test]
+fn model_manager_does_not_count_a_rejected_batch() {
+    // A batch the failed engine refused is not ingested: the manager's
+    // counters and error statistics must not move on the failing call.
+    // The policy never refits within the stream, so every engine call
+    // is an ingest and the death surfaces there (once shard 1's closed
+    // queue refuses a chunk).
+    use tbs_server::service::NoModel;
+    use temporal_sampling::api::{ModelManager, RetrainPolicy};
+
+    silence_injected_panics();
+    let sampler = SamplerConfig::rtbs(0.2, 64)
+        .shards(4)
+        .seed(42)
+        .recovery_policy(RecoveryPolicy::Fail)
+        .build_with_fault_plan::<u64>(Arc::new(FaultPlan::new().kill_worker(1, 8)))
+        .expect("valid faulted config");
+    let mut mgr = ModelManager::new(sampler, NoModel, RetrainPolicy::Periodic(u64::MAX));
+    for t in 0..10_000 {
+        let before = *mgr.metrics();
+        if let Err(e) = mgr.ingest(batch_at(t)) {
+            assert!(matches!(e, TbsError::Engine(_)), "{e:?}");
+            assert_eq!(*mgr.metrics(), before, "batch {t} was rejected");
+            return;
+        }
+    }
+    panic!("the killed worker never surfaced as an ingest error");
+}
+
+#[test]
 fn single_node_configs_reject_fault_plans() {
     let err = SamplerConfig::rtbs(0.1, 64)
         .build_with_fault_plan::<u64>(Arc::new(FaultPlan::new().kill_worker(0, 1)))

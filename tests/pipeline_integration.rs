@@ -4,35 +4,59 @@
 //! configurations: time-biased samples beat uniform ones on accuracy, beat
 //! sliding windows on robustness, and keep their size bounds throughout.
 
-use rand::SeedableRng;
-use temporal_sampling::datagen::gmm::GmmGenerator;
+use rand::{RngCore, SeedableRng};
+use temporal_sampling::api::{run_contenders, RunSeries};
+use temporal_sampling::datagen::gmm::{GmmGenerator, LabeledPoint};
 use temporal_sampling::datagen::modes::ModeSchedule;
 use temporal_sampling::datagen::regression::RegressionGenerator;
 use temporal_sampling::datagen::stream::StreamPlan;
 use temporal_sampling::datagen::BatchSizeProcess;
 use temporal_sampling::ml::metrics::{average_summaries, summarize_series, SeriesSummary};
-use temporal_sampling::ml::pipeline::{run_stream, Contender};
-use temporal_sampling::ml::{KnnClassifier, LinearRegression};
+use temporal_sampling::ml::{KnnClassifier, LinearRegression, OnlineModel};
 use temporal_sampling::prelude::*;
 
-fn knn_contenders(n: usize) -> Vec<Contender<temporal_sampling::datagen::LabeledPoint>> {
+/// A named manager per config, refitting a fresh `model()` every batch,
+/// each sampler seeded from the run's `rng`.
+fn managers<T: Clone + Send + Sync + 'static, M: OnlineModel<T>>(
+    configs: Vec<(&'static str, SamplerConfig)>,
+    model: impl Fn() -> M,
+    rng: &mut Xoshiro256PlusPlus,
+) -> Vec<(&'static str, ModelManager<T, M>)> {
+    configs
+        .into_iter()
+        .map(|(name, config)| {
+            let sampler = config.seed(rng.next_u64()).build().expect("valid config");
+            (
+                name,
+                ModelManager::new(sampler, model(), RetrainPolicy::EveryBatch),
+            )
+        })
+        .collect()
+}
+
+fn knn_configs(n: usize) -> Vec<(&'static str, SamplerConfig)> {
     vec![
-        Contender::new(
-            "R-TBS",
-            Box::new(RTbs::new(0.07, n)),
-            Box::new(KnnClassifier::new(7)),
-        ),
-        Contender::new(
-            "SW",
-            Box::new(CountWindow::new(n)),
-            Box::new(KnnClassifier::new(7)),
-        ),
-        Contender::new(
-            "Unif",
-            Box::new(BatchedReservoir::new(n)),
-            Box::new(KnnClassifier::new(7)),
-        ),
+        ("R-TBS", SamplerConfig::rtbs(0.07, n)),
+        ("SW", SamplerConfig::sliding_count(n)),
+        ("Unif", SamplerConfig::uniform(n)),
     ]
+}
+
+/// One run of `plan` over a fresh paper GMM stream drawn from `seed`,
+/// with a 7-NN manager per config.
+fn knn_run(
+    seed: u64,
+    plan: &StreamPlan,
+    configs: Vec<(&'static str, SamplerConfig)>,
+) -> Vec<RunSeries> {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let gmm = GmmGenerator::paper(&mut rng);
+    let mut ms = managers::<LabeledPoint, _>(configs, || KnnClassifier::new(7), &mut rng);
+    let batches = plan.layout(&mut rng).into_iter().map(|p| {
+        let batch = gmm.sample_batch(p.mode, p.size as usize, &mut rng);
+        (batch, p.measured_time.is_some())
+    });
+    run_contenders(&mut ms, batches).expect("single-node ingest never fails")
 }
 
 /// Average summaries over several runs of the P(10,10) kNN experiment.
@@ -46,15 +70,7 @@ fn knn_periodic_summaries(runs: usize) -> Vec<(String, SeriesSummary)> {
     let mut per_contender: Vec<Vec<SeriesSummary>> = vec![Vec::new(); 3];
     let mut names = Vec::new();
     for run in 0..runs {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5000 + run as u64);
-        let gmm = GmmGenerator::paper(&mut rng);
-        let mut cs = knn_contenders(600);
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| gmm.sample_batch(mode, size, rng),
-            &mut cs,
-            &mut rng,
-        );
+        let outputs = knn_run(5000 + run as u64, &plan, knn_configs(600));
         if names.is_empty() {
             names = outputs.iter().map(|o| o.name.clone()).collect();
         }
@@ -121,24 +137,16 @@ fn regression_unsaturated_rtbs_beats_sw_with_less_data() {
     let runs = 5;
     for run in 0..runs {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(9_100 + run as u64);
-        let mut cs: Vec<Contender<_>> = vec![
-            Contender::new(
-                "R-TBS",
-                Box::new(RTbs::new(0.07, 1600)),
-                Box::new(LinearRegression::new(true)),
-            ),
-            Contender::new(
-                "SW",
-                Box::new(CountWindow::new(1600)),
-                Box::new(LinearRegression::new(true)),
-            ),
+        let configs = vec![
+            ("R-TBS", SamplerConfig::rtbs(0.07, 1600)),
+            ("SW", SamplerConfig::sliding_count(1600)),
         ];
-        let outputs = run_stream(
-            &plan,
-            |mode, size, rng| generator.sample_batch(mode, size, rng),
-            &mut cs,
-            &mut rng,
-        );
+        let mut ms = managers(configs, || LinearRegression::new(true), &mut rng);
+        let batches = plan.layout(&mut rng).into_iter().map(|p| {
+            let batch = generator.sample_batch(p.mode, p.size as usize, &mut rng);
+            (batch, p.measured_time.is_some())
+        });
+        let outputs = run_contenders(&mut ms, batches).expect("single-node ingest never fails");
         rtbs_mse += outputs[0].errors.iter().sum::<f64>() / outputs[0].errors.len() as f64;
         sw_mse += outputs[1].errors.iter().sum::<f64>() / outputs[1].errors.len() as f64;
         rtbs_size +=
@@ -166,15 +174,7 @@ fn all_samplers_keep_their_bounds_through_the_pipeline() {
         batch_sizes: BatchSizeProcess::UniformRandom { lo: 0, hi: 200 },
         schedule: ModeSchedule::periodic(5, 5),
     };
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(777);
-    let gmm = GmmGenerator::paper(&mut rng);
-    let mut cs = knn_contenders(200);
-    let outputs = run_stream(
-        &plan,
-        |mode, size, rng| gmm.sample_batch(mode, size, rng),
-        &mut cs,
-        &mut rng,
-    );
+    let outputs = knn_run(777, &plan, knn_configs(200));
     for o in &outputs {
         assert!(
             o.sample_sizes.iter().all(|&s| s <= 200.0 + 1e-9),
@@ -196,26 +196,11 @@ fn chao_pipeline_runs_but_rtbs_is_more_robust() {
         batch_sizes: BatchSizeProcess::Deterministic(60),
         schedule: ModeSchedule::periodic(10, 10),
     };
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(3131);
-    let gmm = GmmGenerator::paper(&mut rng);
-    let mut cs: Vec<Contender<_>> = vec![
-        Contender::new(
-            "B-Chao",
-            Box::new(BChao::new(0.07, 400)),
-            Box::new(KnnClassifier::new(7)),
-        ),
-        Contender::new(
-            "R-TBS",
-            Box::new(RTbs::new(0.07, 400)),
-            Box::new(KnnClassifier::new(7)),
-        ),
+    let configs = vec![
+        ("B-Chao", SamplerConfig::chao(0.07, 400)),
+        ("R-TBS", SamplerConfig::rtbs(0.07, 400)),
     ];
-    let outputs = run_stream(
-        &plan,
-        |mode, size, rng| gmm.sample_batch(mode, size, rng),
-        &mut cs,
-        &mut rng,
-    );
+    let outputs = knn_run(3131, &plan, configs);
     for o in &outputs {
         let mean = o.errors.iter().sum::<f64>() / o.errors.len() as f64;
         assert!(

@@ -303,9 +303,15 @@ impl Reader {
 
     /// Read one [`Wire`]-encoded item (length-prefixed); a payload the
     /// item type cannot decode is [`CheckpointError::Corrupt`].
+    ///
+    /// The item decodes straight from the blob: no per-item copy or
+    /// allocation.
     pub fn get_item<T: Wire>(&mut self) -> Result<T, CheckpointError> {
-        let bytes = self.get_bytes()?;
-        T::try_decode(&bytes).ok_or(CheckpointError::Corrupt("item payload"))
+        let len = self.get_u32()? as usize;
+        self.need(len)?;
+        let item = T::try_decode(&self.buf.chunk()[..len]);
+        self.buf.advance(len);
+        item.ok_or(CheckpointError::Corrupt("item payload"))
     }
 
     /// Read a length-prefixed sequence of [`Wire`]-encoded items.

@@ -3,10 +3,11 @@
 //!
 //! The serving tier needs [`crate::frozen::FrozenSample`] publication to
 //! wake two kinds of consumers: OS threads blocked in
-//! `EpochCell::wait_for_epoch` (a condvar wait), and network connection
-//! *tasks* long-polling `SUBSCRIBE_EPOCH` — which must park a [`Waker`],
-//! not a thread, so one executor thread can hold thousands of idle
-//! subscriptions. [`Notify`] unifies both under a single generation
+//! `EpochCell::wait_for_epoch` (a condvar wait), and pollers that
+//! register a [`Waker`] — the serving tier's connection threads
+//! long-poll `SUBSCRIBE_EPOCH` that way, with a waker that unparks
+//! them, so a parked subscription never holds the service lock.
+//! [`Notify`] unifies both under a single generation
 //! counter: every `notify_all` bumps the generation, wakes every blocked
 //! thread, and fires every registered waker.
 //!

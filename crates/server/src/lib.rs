@@ -15,9 +15,10 @@
 //!   from a `SamplerConfig`) and [`service::CellService`] (read-only
 //!   `EpochCell` replica); [`service::LineFit`], the default served
 //!   model.
-//! * [`server`] — [`server::serve`]: one `miniloop` executor thread,
-//!   pipelined connections, fault injection at exact reply-frame
-//!   boundaries via the engine's `FaultPlan`.
+//! * [`server`] — [`server::serve`]: a blocking acceptor thread and
+//!   one blocking thread per connection (at most 64), pipelined
+//!   connections, fault injection at exact reply-frame boundaries via
+//!   the engine's `FaultPlan`.
 //! * [`client`] — [`client::BlockingClient`], a synchronous typed
 //!   client with socket timeouts.
 //!

@@ -1,50 +1,71 @@
 //! The serve loop: accept connections, decode request frames, dispatch
-//! into a [`WireService`], and write back framed replies — all on one
-//! `miniloop` executor thread.
+//! into a [`WireService`], and write back framed replies.
+//!
+//! The server uses blocking std I/O with one thread per connection. The
+//! `tbs-server` thread blocks in `accept` and hands each connection to a
+//! thread of its own, `tbs-server-c<N>` (N is the 1-based accept
+//! ordinal). That thread blocks in `read`, so the kernel wakes it as soon
+//! as request bytes arrive. At most 64 connections are served at once;
+//! past that, the acceptor writes one `Unavailable` error frame and
+//! closes the socket.
+//!
+//! Verbs run on the connection's own thread under one service lock.
+//! `PING` is the exception: it is answered without the lock, so a
+//! liveness probe never waits behind a `RETRAIN` or `CHECKPOINT_PUSH`
+//! running on another connection. `SUBSCRIBE_EPOCH` polls
+//! [`WireService::poll_epoch`] with a waker that unparks the connection
+//! thread, which then parks until the publish or the deadline without
+//! holding the lock.
 //!
 //! Connections are fully pipelined: every complete request frame in a
 //! read burst is dispatched and the replies are coalesced into one
 //! write, so a client that sends N requests back-to-back pays one
 //! syscall round-trip, not N.
 //!
+//! Shutdown comes from [`ServerHandle`] or the `SHUTDOWN` verb. It wakes
+//! the acceptor by connecting to the listening address; the acceptor
+//! then shuts down every connection's socket, unparks its thread and
+//! joins it. An idle connection, a parked subscription and a half-open
+//! socket all end promptly.
+//!
 //! Fault injection reuses the engine's [`FaultPlan`]: before each reply
 //! frame is appended, the plan is consulted with this connection's
 //! accept ordinal and the 1-based reply frame number. `DropConnection`
 //! flushes the replies already batched, shuts the socket, and ends the
-//! task; `HalfOpen` flushes and then parks the task forever — the
-//! socket stays open but never speaks again, exactly the half-open peer
-//! a client's read timeout must survive.
+//! connection; `HalfOpen` flushes and then parks the connection thread
+//! until shutdown — the socket stays open but never speaks again,
+//! exactly the half-open peer a client's read timeout must survive.
 
-use std::future::Future;
-use std::io;
-use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener};
-use std::pin::Pin;
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use miniloop::net::{AsyncTcpListener, AsyncTcpStream};
-use miniloop::{Executor, Handle};
 use parking_lot::Mutex;
 use tbs_core::checkpoint::Wire;
 use tbs_distributed::{FaultPlan, WireAction};
 
-use crate::proto::{encode_frame, EpochOutcome, FrameDecoder, ProtoError, Reply, Request};
+use crate::proto::{
+    encode_frame, EpochOutcome, ErrorCode, FrameDecoder, ProtoError, Reply, Request,
+};
 use crate::service::WireService;
 
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
+/// Most connections served at once; each one costs a thread.
+const MAX_CONNECTIONS: usize = 64;
 /// Read buffer per connection.
 const READ_BUF: usize = 64 * 1024;
+/// Bound on the connect that wakes the acceptor at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A running server; dropping it requests shutdown and joins the serve
 /// thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<io::Result<()>>>,
+    stop: Arc<Stop>,
+    thread: Option<JoinHandle<io::Result<()>>>,
 }
 
 impl ServerHandle {
@@ -53,10 +74,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Ask the serve loop to stop (idempotent, non-blocking); the loop
-    /// notices within one accept tick.
+    /// Ask the server to stop (idempotent, non-blocking): the acceptor
+    /// wakes at once and closes every connection.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.stop.request();
     }
 
     /// Request shutdown and wait for the serve thread to exit.
@@ -118,79 +139,170 @@ where
     S: WireService<T>,
 {
     let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let shutdown_thread = Arc::clone(&shutdown);
-    let service = Arc::new(Mutex::new(service));
+    let stop = Arc::new(Stop::new(addr));
+    let shared = Arc::new(Shared {
+        service: Mutex::new(service),
+        fault_plan,
+        stop: Arc::clone(&stop),
+    });
 
-    let thread = std::thread::Builder::new()
+    let thread = thread::Builder::new()
         .name("tbs-server".into())
-        .spawn(move || -> io::Result<()> {
-            let ex = Executor::new();
-            let handle = ex.handle();
-            let listener = AsyncTcpListener::from_std(listener, handle.clone())?;
-            ex.block_on(accept_loop::<T, S>(
-                listener,
-                service,
-                fault_plan,
-                shutdown_thread,
-                handle,
-            ))
-        })?;
+        .spawn(move || accept_loop::<T, S>(listener, shared))?;
 
     Ok(ServerHandle {
         addr,
-        shutdown,
+        stop,
         thread: Some(thread),
     })
 }
 
-async fn accept_loop<T, S>(
-    listener: AsyncTcpListener,
-    service: Arc<Mutex<S>>,
+/// Shutdown state shared by the handle, the acceptor and every
+/// connection thread.
+struct Stop {
+    requested: AtomicBool,
+    /// Where a connect reaches the acceptor's `accept`.
+    wake_addr: SocketAddr,
+}
+
+impl Stop {
+    fn new(addr: SocketAddr) -> Self {
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Self {
+            requested: AtomicBool::new(false),
+            wake_addr,
+        }
+    }
+
+    /// Set the flag and wake the acceptor out of `accept`; a refused
+    /// connect means the acceptor is already gone.
+    fn request(&self) {
+        if !self.requested.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
+    }
+
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::Acquire)
+    }
+}
+
+/// What the acceptor hands every connection thread.
+struct Shared<S> {
+    service: Mutex<S>,
     fault_plan: Option<Arc<FaultPlan>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Handle,
-) -> io::Result<()>
+    stop: Arc<Stop>,
+}
+
+/// A live connection as the acceptor tracks it.
+struct Conn {
+    /// A second handle on the socket, to shut it down from outside.
+    socket: TcpStream,
+    thread: JoinHandle<()>,
+}
+
+fn accept_loop<T, S>(listener: TcpListener, shared: Arc<Shared<S>>) -> io::Result<()>
 where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
 {
+    let mut conns: Vec<Conn> = Vec::new();
     // Accept ordinals are 1-based so fault plans can say "connection 1".
     let mut next_conn: u64 = 0;
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept_timeout(ACCEPT_TICK).await {
-            Ok(Some((stream, _peer))) => {
-                next_conn += 1;
-                handle.spawn(connection_task::<T, S>(
-                    stream,
-                    Arc::clone(&service),
-                    fault_plan.clone(),
-                    next_conn,
-                    Arc::clone(&shutdown),
-                    handle.clone(),
-                ));
-            }
-            Ok(None) => {}
+    let result = loop {
+        let accepted = listener.accept();
+        if shared.stop.requested() {
+            break Ok(());
+        }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
             // Transient accept errors (peer reset mid-handshake) should
             // not kill the server.
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
-            Err(e) => return Err(e),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
+            }
+            Err(e) => break Err(e),
+        };
+        // Dropping the handle of a finished thread releases it.
+        conns.retain(|c| !c.thread.is_finished());
+        if conns.len() >= MAX_CONNECTIONS {
+            refuse::<T>(stream, "connection limit reached");
+            continue;
         }
+        next_conn += 1;
+        match spawn_connection::<T, S>(stream, &shared, next_conn) {
+            Ok(conn) => conns.push(conn),
+            Err(stream) => refuse::<T>(stream, "cannot start a connection thread"),
+        }
+    };
+
+    // Connection threads check the flag whenever they wake, so a fatal
+    // accept error ends them too.
+    shared.stop.requested.store(true, Ordering::Release);
+    for conn in &conns {
+        let _ = conn.socket.shutdown(Shutdown::Both);
+        conn.thread.thread().unpark();
     }
-    Ok(())
+    for conn in conns {
+        let _ = conn.thread.join();
+    }
+    result
 }
 
-async fn connection_task<T, S>(
-    mut stream: AsyncTcpStream,
-    service: Arc<Mutex<S>>,
-    fault_plan: Option<Arc<FaultPlan>>,
+/// Start `tbs-server-c<conn>`; on failure, give the socket back so the
+/// caller can refuse it.
+fn spawn_connection<T, S>(
+    stream: TcpStream,
+    shared: &Arc<Shared<S>>,
     conn: u64,
-    shutdown: Arc<AtomicBool>,
-    handle: Handle,
-) where
+) -> Result<Conn, TcpStream>
+where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
 {
+    let socket = match stream.try_clone() {
+        Ok(socket) => socket,
+        Err(_) => return Err(stream),
+    };
+    let shared = Arc::clone(shared);
+    match thread::Builder::new()
+        .name(format!("tbs-server-c{conn}"))
+        .spawn(move || serve_connection::<T, S>(stream, &shared, conn))
+    {
+        Ok(thread) => Ok(Conn { socket, thread }),
+        Err(_) => Err(socket),
+    }
+}
+
+/// Answer a connection the server will not serve with one
+/// `Unavailable` frame, then close it.
+fn refuse<T: Wire>(mut stream: TcpStream, why: &str) {
+    let reply: Reply<T> = Reply::Error {
+        code: ErrorCode::Unavailable,
+        detail: why.into(),
+    };
+    let _ = stream.write_all(&encode_frame(&reply.encode()));
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn serve_connection<T, S>(mut stream: TcpStream, shared: &Shared<S>, conn: u64)
+where
+    T: Wire + Clone + Send + Sync + 'static,
+    S: WireService<T>,
+{
+    // Replies are whole coalesced writes; Nagle would only delay them.
+    let _ = stream.set_nodelay(true);
     let mut decoder = FrameDecoder::new();
     let mut read_buf = vec![0u8; READ_BUF];
     let mut out: Vec<u8> = Vec::new();
@@ -199,9 +311,11 @@ async fn connection_task<T, S>(
     let mut reply_frame: u64 = 0;
 
     loop {
-        let n = match stream.read_some(&mut read_buf).await {
-            Ok(0) | Err(_) => return, // EOF or broken socket: done.
-            Ok(n) => n,
+        let n = match stream.read(&mut read_buf) {
+            Ok(n) if n > 0 && !shared.stop.requested() => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // EOF, a broken socket or shutdown: done.
+            _ => return,
         };
         decoder.push(&read_buf[..n]);
 
@@ -214,11 +328,13 @@ async fn connection_task<T, S>(
                 Err(_) => {
                     // Unrecoverable framing (oversized prefix): the
                     // stream offset is lost, drop the connection.
-                    let _ = stream.shutdown();
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
             };
             let reply: Reply<T> = match Request::<T>::decode(payload) {
+                // Never behind the service lock.
+                Ok(Request::Ping) => Reply::Pong,
                 Ok(Request::Shutdown) => {
                     stop_after_flush = true;
                     Reply::ShuttingDown
@@ -226,33 +342,23 @@ async fn connection_task<T, S>(
                 Ok(Request::SubscribeEpoch { epoch, timeout_ms }) => {
                     // Long poll: flush what we already owe, then wait.
                     if !out.is_empty() {
-                        if stream.write_all(&out).await.is_err() {
+                        if stream.write_all(&out).is_err() {
                             return;
                         }
                         out.clear();
                     }
-                    let deadline = (timeout_ms > 0)
-                        .then(|| Instant::now() + Duration::from_millis(timeout_ms));
-                    let (outcome, epoch, batches) = EpochSubscription {
-                        service: Arc::clone(&service),
-                        epoch,
-                        deadline,
-                        handle: handle.clone(),
-                        _item: PhantomData,
-                    }
-                    .await;
-                    Reply::Epoch {
-                        outcome,
-                        epoch,
-                        batches,
+                    match wait_for_epoch(shared, epoch, timeout_ms) {
+                        Some(reply) => reply,
+                        None => return,
                     }
                 }
-                Ok(req) => dispatch(&service, req),
+                Ok(req) => dispatch(&shared.service, req),
                 Err(e) => proto_error_reply(&e),
             };
 
             reply_frame += 1;
-            let action = fault_plan
+            let action = shared
+                .fault_plan
                 .as_ref()
                 .map(|p| p.wire_action(conn, reply_frame))
                 .unwrap_or(WireAction::Deliver);
@@ -262,40 +368,37 @@ async fn connection_task<T, S>(
                     // Deliver everything before the fault boundary,
                     // then cut the socket under the client.
                     if !out.is_empty() {
-                        let _ = stream.write_all(&out).await;
+                        let _ = stream.write_all(&out);
                     }
-                    let _ = stream.shutdown();
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
                 WireAction::HalfOpen => {
                     if !out.is_empty() {
-                        let _ = stream.write_all(&out).await;
+                        let _ = stream.write_all(&out);
                     }
-                    // Keep the socket open but never answer again. A
-                    // bare `pending()` future would leave the task with
-                    // no registered waker and the executor would drop
-                    // it (closing the socket); an endless timer keeps
-                    // it — and the half-open stream — alive.
-                    loop {
-                        handle.sleep(Duration::from_secs(3600)).await;
+                    // Keep the socket open but never answer again.
+                    while !shared.stop.requested() {
+                        thread::park();
                     }
+                    return;
                 }
             }
         }
 
-        if !out.is_empty() && stream.write_all(&out).await.is_err() {
+        if !out.is_empty() && stream.write_all(&out).is_err() {
             return;
         }
         if stop_after_flush {
-            shutdown.store(true, Ordering::Release);
-            let _ = stream.shutdown();
+            shared.stop.request();
+            let _ = stream.shutdown(Shutdown::Both);
             return;
         }
     }
 }
 
 /// Handle every verb that resolves immediately under one service lock.
-fn dispatch<T, S>(service: &Arc<Mutex<S>>, req: Request<T>) -> Reply<T>
+fn dispatch<T, S>(service: &Mutex<S>, req: Request<T>) -> Reply<T>
 where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
@@ -318,10 +421,8 @@ where
         Request::CheckpointPush(blob) => svc.restore(blob).map(|()| Reply::Pushed),
         Request::Predict(x) => svc.predict(x).map(Reply::Prediction),
         Request::Retrain => svc.retrain().map(Reply::Retrained),
-        Request::Ping => Ok(Reply::Pong),
-        // Handled by the connection loop before dispatch.
-        Request::SubscribeEpoch { .. } | Request::Shutdown => {
-            unreachable!("handled in connection_task")
+        Request::Ping | Request::SubscribeEpoch { .. } | Request::Shutdown => {
+            unreachable!("handled in serve_connection")
         }
     };
     result.unwrap_or_else(|e| {
@@ -332,43 +433,58 @@ where
 
 fn proto_error_reply<T: Wire>(e: &ProtoError) -> Reply<T> {
     Reply::Error {
-        code: crate::proto::ErrorCode::Corrupt,
+        code: ErrorCode::Corrupt,
         detail: format!("bad request frame: {e}"),
     }
 }
 
-/// Races the service's epoch wait against an optional deadline.
-struct EpochSubscription<T, S> {
-    service: Arc<Mutex<S>>,
-    epoch: u64,
-    deadline: Option<Instant>,
-    handle: Handle,
-    // `fn() -> T` keeps the future `Unpin` regardless of `T`.
-    _item: PhantomData<fn() -> T>,
+/// Wakes a parked connection thread.
+struct Unparker(Thread);
+
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
 }
 
-impl<T, S> Future for EpochSubscription<T, S>
+/// Long-poll for `epoch` until it is published, the publisher is gone
+/// or the deadline (`timeout_ms > 0`) passes; `None` if the server
+/// shuts down first. The service lock is never held while parked.
+fn wait_for_epoch<T, S>(shared: &Shared<S>, epoch: u64, timeout_ms: u64) -> Option<Reply<T>>
 where
     T: Wire + Clone + Send + Sync + 'static,
     S: WireService<T>,
 {
-    type Output = (EpochOutcome, u64, u64);
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let mut svc = this.service.lock();
-        match svc.poll_epoch(this.epoch, cx) {
-            Poll::Ready(out) => Poll::Ready(out),
-            Poll::Pending => {
-                if let Some(deadline) = this.deadline {
-                    if Instant::now() >= deadline {
-                        return Poll::Ready((EpochOutcome::TimedOut, svc.published_epoch(), 0));
-                    }
-                    drop(svc);
-                    this.handle.wake_at(deadline, cx.waker().clone());
-                }
-                Poll::Pending
+    // A deadline past the end of `Instant` is no deadline.
+    let deadline = (timeout_ms > 0)
+        .then(|| Instant::now().checked_add(Duration::from_millis(timeout_ms)))
+        .flatten();
+    let waker = Waker::from(Arc::new(Unparker(thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        {
+            let mut svc = shared.service.lock();
+            if let Poll::Ready((outcome, epoch, batches)) = svc.poll_epoch(epoch, &mut cx) {
+                return Some(Reply::Epoch {
+                    outcome,
+                    epoch,
+                    batches,
+                });
             }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Some(Reply::Epoch {
+                    outcome: EpochOutcome::TimedOut,
+                    epoch: svc.published_epoch(),
+                    batches: 0,
+                });
+            }
+        }
+        if shared.stop.requested() {
+            return None;
+        }
+        match deadline {
+            Some(d) => thread::park_timeout(d.saturating_duration_since(Instant::now())),
+            None => thread::park(),
         }
     }
 }

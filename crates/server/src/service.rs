@@ -72,10 +72,12 @@ pub type SampleView<T> = (u64, u64, Vec<T>);
 
 /// Engine surface the connection loop programs against.
 ///
-/// `poll_epoch` is poll-based (not `async fn`) so the server can race
-/// it against a deadline timer without boxing; it must register the
-/// waker with the underlying publisher before returning `Pending`, and
-/// it never resolves `TimedOut` — deadlines are the server's job.
+/// `poll_epoch` is poll-based (not `async fn`) so a connection thread
+/// can wait for a publish without holding the service lock: it polls
+/// with a waker that unparks it, then parks until the waker fires or
+/// its deadline passes. An implementation must register the waker with
+/// the underlying publisher before returning `Pending`, and it never
+/// resolves `TimedOut` — deadlines are the server's job.
 pub trait WireService<T: Wire + Clone + Send + Sync + 'static>: Send + 'static {
     /// Latest published sample.
     fn latest(&mut self) -> Result<SampleView<T>, ServiceError>;

@@ -4,7 +4,89 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use tbs_core::checkpoint::{CheckpointError, Reader, Wire, Writer};
 use tbs_server::proto::{encode_frame, FrameDecoder, ProtoError, Reply, Request, MAX_FRAME};
+
+type Item = [f64; 2];
+
+/// Reference `INGEST` decode that copies each item out of the blob
+/// before decoding it, exactly as `get_bytes` + `try_decode` do.
+fn reference_ingest(blob: Bytes) -> Result<Vec<Item>, ProtoError> {
+    let mut r = Reader::new(blob)?;
+    match r.get_u8()? {
+        7 => {}
+        tag => return Err(ProtoError::UnknownTag(tag)),
+    }
+    let count = r.get_u32()? as usize;
+    r.check_count(count, 4)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        let bytes = r.get_bytes()?;
+        items.push(Item::try_decode(&bytes).ok_or(CheckpointError::Corrupt("item payload"))?);
+    }
+    Ok(items)
+}
+
+/// An `INGEST` payload whose count and per-item length prefixes may lie:
+/// every item body is the honest 16-byte encoding, whatever its prefix
+/// says.
+fn ingest_payload(items: &[Item], count: u32, len_of: impl Fn(usize) -> u32) -> Bytes {
+    let mut w = Writer::new();
+    w.put_u8(7);
+    w.put_u32(count);
+    for (i, item) in items.iter().enumerate() {
+        w.put_u32(len_of(i));
+        for byte in item.encode().iter() {
+            w.put_u8(*byte);
+        }
+    }
+    w.finish()
+}
+
+/// Decode through `Request` and compare with the reference: the same
+/// items bit for bit, or the same error.
+fn assert_decodes_like_reference(blob: Bytes) {
+    let bits = |items: Vec<Item>| -> Vec<[u64; 2]> {
+        items
+            .iter()
+            .map(|[a, b]| [a.to_bits(), b.to_bits()])
+            .collect()
+    };
+    let got = match Request::<Item>::decode(blob.clone()) {
+        Ok(Request::Ingest(items)) => Ok(bits(items)),
+        Ok(other) => panic!("INGEST payload decoded as {other:?}"),
+        Err(e) => Err(e),
+    };
+    assert_eq!(got, reference_ingest(blob).map(bits));
+}
+
+#[test]
+fn lying_ingest_prefixes_fail_with_the_reference_errors() {
+    let items: Vec<Item> = (0..4).map(|i| [i as f64, 2.0 * i as f64]).collect();
+    let honest = ingest_payload(&items, 4, |_| 16);
+    assert_eq!(
+        Request::<Item>::decode(honest.clone()),
+        Ok(Request::Ingest(items.clone()))
+    );
+    let short = ingest_payload(&items, 4, |i| if i == 2 { 8 } else { 16 });
+    let past_end = ingest_payload(&items, 4, |i| if i == 3 { 1 << 20 } else { 16 });
+    let count_lie = ingest_payload(&items, 5, |_| 16);
+    for (blob, want) in [
+        (honest, None),
+        (short, Some(CheckpointError::Corrupt("item payload"))),
+        (past_end, Some(CheckpointError::Truncated)),
+        (count_lie, Some(CheckpointError::Truncated)),
+    ] {
+        assert_eq!(
+            reference_ingest(blob.clone()).err(),
+            want.clone().map(ProtoError::Checkpoint)
+        );
+        assert_eq!(
+            Request::<Item>::decode(blob).err(),
+            want.map(ProtoError::Checkpoint)
+        );
+    }
+}
 
 /// Deterministic mixed message sequence derived from generated scalars.
 fn frame_stream(items: &[u64], epoch: u64) -> (Vec<Request<u64>>, Vec<u8>) {
@@ -76,6 +158,34 @@ proptest! {
         }
         prop_assert_eq!(whole, reqs.len());
         prop_assert_eq!(dec.pending(), 0);
+    }
+
+    #[test]
+    fn ingest_decode_matches_the_copying_reference(
+        xs in prop::collection::vec(-1e6f64..1e6, 0..12),
+        lens in prop::collection::vec(0u32..40, 0..12),
+        past_end in 0usize..24,
+        count_shift in 0u32..7,
+        keep_permille in 0usize..2000,
+    ) {
+        let items: Vec<Item> = xs.iter().map(|&x| [x, 2.0 * x + 1.0]).collect();
+        // Counts from three below to three above the truth, plus one
+        // absurd lie.
+        let count = match count_shift {
+            6 => u32::MAX,
+            k => (items.len() as u32 + k).saturating_sub(3),
+        };
+        // Lengths below, at and above 16; one index (if it exists)
+        // claims more bytes than the blob holds.
+        let len_of = |i: usize| match lens.get(i) {
+            _ if i == past_end => u32::MAX - i as u32,
+            Some(&len) => len,
+            None => 16,
+        };
+        let blob = ingest_payload(&items, count, len_of);
+        // Keep the whole blob in half the cases; truncate it otherwise.
+        let keep = (blob.len() * keep_permille / 1000).min(blob.len());
+        assert_decodes_like_reference(blob.slice(..keep));
     }
 
     #[test]

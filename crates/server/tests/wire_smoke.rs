@@ -1,18 +1,21 @@
 //! End-to-end wire smoke: a real server on loopback, a real client
 //! through every message type, injected wire faults, clean shutdown.
 
-use std::io;
-use std::net::TcpListener;
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::task::{Context, Poll};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tbs_distributed::snapshot::EpochCell;
 use tbs_distributed::FaultPlan;
 use tbs_server::client::{BlockingClient, ClientError};
-use tbs_server::proto::{EpochOutcome, ErrorCode};
+use tbs_server::proto::{encode_frame, EpochOutcome, ErrorCode, FrameDecoder, Reply, Request};
 use tbs_server::server::{serve_on, ServerHandle};
-use tbs_server::service::{CellService, LineFit, NoModel, SamplerService};
+use tbs_server::service::{
+    CellService, LineFit, NoModel, SampleView, SamplerService, ServiceError, WireService,
+};
 use temporal_sampling::api::{RetrainPolicy, SamplerConfig};
 use temporal_sampling::core::frozen::FrozenSample;
 
@@ -113,8 +116,17 @@ fn subscribe_epoch_long_polls_until_another_connection_publishes() {
         let mut client: BlockingClient<[f64; 2]> = BlockingClient::connect(addr).unwrap();
         client.subscribe_epoch(1, Some(Duration::from_secs(10)))
     });
+    // A timeout too large for any deadline waits like `timeout_ms = 0`.
+    let mut unbounded = TcpStream::connect(addr).unwrap();
+    let subscribe = Request::<[f64; 2]>::SubscribeEpoch {
+        epoch: 1,
+        timeout_ms: u64::MAX,
+    };
+    unbounded
+        .write_all(&encode_frame(&subscribe.encode()))
+        .unwrap();
 
-    // Give the subscriber time to park, then publish over a second
+    // Give the subscribers time to park, then publish over a third
     // connection.
     std::thread::sleep(Duration::from_millis(100));
     let mut publisher: BlockingClient<[f64; 2]> = BlockingClient::connect(addr).unwrap();
@@ -123,6 +135,15 @@ fn subscribe_epoch_long_polls_until_another_connection_publishes() {
     let (outcome, got_epoch, _) = waiter.join().unwrap().unwrap();
     assert_eq!(outcome, EpochOutcome::Published);
     assert_eq!(got_epoch, epoch);
+    drop(server);
+    match read_replies(unbounded).as_slice() {
+        [Reply::Epoch {
+            outcome: EpochOutcome::Published,
+            epoch: got_epoch,
+            ..
+        }] => assert_eq!(*got_epoch, epoch),
+        other => panic!("expected one Published epoch reply, got {other:?}"),
+    }
 }
 
 #[test]
@@ -272,4 +293,172 @@ fn second_sampler_restores_from_a_pulled_checkpoint() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Unavailable),
         other => panic!("expected Unavailable, got {other:?}"),
     }
+}
+
+/// A service whose `RETRAIN` holds the service lock until the test
+/// releases it; every other verb is idle.
+struct GatedRetrain {
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl WireService<u64> for GatedRetrain {
+    fn latest(&mut self) -> Result<SampleView<u64>, ServiceError> {
+        Err(ServiceError::Unavailable("nothing published"))
+    }
+
+    fn poll_epoch(&mut self, _epoch: u64, _cx: &mut Context<'_>) -> Poll<(EpochOutcome, u64, u64)> {
+        Poll::Ready((EpochOutcome::PublisherGone, 0, 0))
+    }
+
+    fn published_epoch(&self) -> u64 {
+        0
+    }
+
+    fn ingest(&mut self, _items: Vec<u64>) -> Result<(u64, u64), ServiceError> {
+        Err(ServiceError::Unsupported("INGEST"))
+    }
+
+    fn checkpoint(&mut self) -> Result<Bytes, ServiceError> {
+        Err(ServiceError::Unsupported("CHECKPOINT_PULL"))
+    }
+
+    fn restore(&mut self, _blob: Bytes) -> Result<(), ServiceError> {
+        Err(ServiceError::Unsupported("CHECKPOINT_PUSH"))
+    }
+
+    fn predict(&mut self, _x: f64) -> Result<f64, ServiceError> {
+        Err(ServiceError::Unsupported("PREDICT"))
+    }
+
+    fn retrain(&mut self) -> Result<Option<u64>, ServiceError> {
+        self.entered.send(()).unwrap();
+        let _ = self.release.recv();
+        Ok(None)
+    }
+}
+
+#[test]
+fn ping_answers_while_another_connection_retrains() {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let svc = GatedRetrain {
+        entered: entered_tx,
+        release: release_rx,
+    };
+    let server = serve_on(listener, svc, None).unwrap();
+    let addr = server.addr();
+
+    let retrainer = std::thread::spawn(move || {
+        let mut c: BlockingClient<u64> = BlockingClient::connect(addr).unwrap();
+        c.retrain()
+    });
+    entered_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("RETRAIN reached the service");
+
+    // RETRAIN now holds the service lock on connection 1.
+    let mut pinger: BlockingClient<u64> =
+        BlockingClient::connect_timeout(addr, Duration::from_secs(2)).unwrap();
+    let start = Instant::now();
+    let pong = pinger.ping();
+    let waited = start.elapsed();
+    release_tx.send(()).unwrap();
+    pong.expect("PING answered while RETRAIN runs");
+    assert!(waited < Duration::from_secs(1), "PING waited {waited:?}");
+    assert_eq!(retrainer.join().unwrap().unwrap(), None);
+}
+
+/// Read every frame the server sends until it closes the socket.
+fn read_replies(mut stream: TcpStream) -> Vec<Reply<[f64; 2]>> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).unwrap();
+    let mut dec = FrameDecoder::new();
+    dec.push(&bytes);
+    let mut replies = Vec::new();
+    while let Some(frame) = dec.next_frame().unwrap() {
+        replies.push(Reply::decode(frame).unwrap());
+    }
+    assert_eq!(dec.pending(), 0, "a torn frame");
+    replies
+}
+
+#[test]
+fn connections_past_the_cap_get_unavailable_until_one_closes() {
+    const CAP: usize = 64;
+    let server = start_line_server(None);
+    let addr = server.addr();
+    let mut open: Vec<BlockingClient<[f64; 2]>> = (0..CAP)
+        .map(|_| {
+            let mut c = BlockingClient::connect(addr).unwrap();
+            c.ping().unwrap();
+            c
+        })
+        .collect();
+
+    // The next connection is answered with one typed error and closed.
+    match read_replies(TcpStream::connect(addr).unwrap()).as_slice() {
+        [Reply::Error { code, .. }] => assert_eq!(*code, ErrorCode::Unavailable),
+        other => panic!("expected one Unavailable frame, got {other:?}"),
+    }
+
+    // Once a connection closes, its slot is served again.
+    drop(open.pop());
+    let start = Instant::now();
+    loop {
+        let served = BlockingClient::<[f64; 2]>::connect(addr).and_then(|mut c| c.ping());
+        match served {
+            Ok(()) => break,
+            Err(_) if start.elapsed() < Duration::from_secs(1) => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("freed slot not served within 1 s: {e:?}"),
+        }
+    }
+    for c in &mut open {
+        c.ping().unwrap();
+    }
+}
+
+#[test]
+fn join_returns_promptly_with_idle_parked_and_half_open_connections() {
+    // Connection 1's first reply is never written: a half-open socket.
+    let plan = Arc::new(FaultPlan::new().half_open_socket(1, 1));
+    let server = start_line_server(Some(plan));
+    let addr = server.addr();
+
+    let mut half_open: BlockingClient<[f64; 2]> =
+        BlockingClient::connect_timeout(addr, Duration::from_millis(200)).unwrap();
+    assert!(matches!(half_open.ping(), Err(ClientError::Io(_))));
+
+    let mut idle: BlockingClient<[f64; 2]> = BlockingClient::connect(addr).unwrap();
+    idle.ping().unwrap();
+
+    // `timeout_ms = 0`: waits for an epoch nothing will publish.
+    let mut parked = TcpStream::connect(addr).unwrap();
+    let subscribe = Request::<[f64; 2]>::SubscribeEpoch {
+        epoch: 1_000,
+        timeout_ms: 0,
+    };
+    parked
+        .write_all(&encode_frame(&subscribe.encode()))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+
+    // Join on a helper thread so a hang fails the test instead of
+    // wedging it.
+    let (joined_tx, joined_rx) = mpsc::channel();
+    std::thread::spawn(move || joined_tx.send(server.join()));
+    joined_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("join returned within 2 s")
+        .unwrap();
+
+    // Every connection was closed under its client.
+    assert!(read_replies(parked).is_empty());
+    assert!(idle.ping().is_err());
 }

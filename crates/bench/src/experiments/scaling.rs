@@ -7,10 +7,9 @@
 //! 1–64 shards over the saturated and bursty stream regimes,
 //! for R-TBS and T-TBS, plus a same-run single-threaded fast-path
 //! reference row (the PR 2 measurement repeated, so the pipeline overhead
-//! is read off one document). R-TBS rows run with the tail-flattening
-//! knobs on: batch-granular downsampling (`rtbs_defer_threshold`) and
-//! shard groups (per-regime `rtbs_group_threshold_*`), so each row
-//! reports both its worker count K and its cell count G ≤ K.
+//! is read off one document). R-TBS rows run with shard groups on
+//! (per-regime `rtbs_group_threshold_*`), so each row reports both its
+//! worker count K and its cell count G ≤ K.
 //!
 //! Each engine row also records the merge-tree depth (`⌈log₂G⌉`) and the
 //! per-cell busy-time fractions, so load imbalance — the thing the
@@ -29,12 +28,15 @@
 //! * **`items_per_sec_aggregate`** — `Σ_k items_k / busy_k` over the
 //!   shards, where `busy_k` is shard *k*'s time inside `observe` calls
 //!   (queue waits excluded). This measures the engine's ingest
-//!   *capacity* — what the shards sustain while scheduled — and is the
-//!   hardware-independent scaling signal: on a single-core host (like the
+//!   *capacity* — what the shards sustain while scheduled. It factors
+//!   out the core count, not the host: on a single-core host (like the
 //!   container that produced the committed baseline, see `host` in the
 //!   JSON) wall-clock parallel speedup is physically impossible, while
 //!   per-shard busy time still exposes whether the pipeline adds overhead
-//!   per shard. On a multi-core host the two metrics converge.
+//!   per shard. On a multi-core host the two metrics converge. It is
+//!   still an absolute rate that scales with per-core speed, so the
+//!   gate's K = 8 floor is a rate measured on the committed artifact's
+//!   host: a slower host can fail it on unchanged code.
 //!
 //! The sweep also times `WorkerPool` job dispatch — persistent pool vs
 //! the pre-PR-3 per-batch `thread::spawn` — quantifying the D-R-TBS
@@ -54,9 +56,9 @@ use tbs_distributed::engine::{EngineConfig, ParallelIngestEngine, ShardStats};
 /// cliff must be at least halved-back. The rest of the gate is
 /// relative: the K = 16 aggregate must not fall below K = 8, and K = 32
 /// — where every shard's reservoir share sits just above its
-/// equilibrium weight, pinning the pre-fix engine in the eager per-step
-/// downsample — must not fall below K = 16 (the flattened-tail gate:
-/// batch-granular downsampling plus shard groups).
+/// equilibrium weight — must not fall below K = 16 (the flattened-tail
+/// gate: shard groups). The floor is an absolute rate from the committed
+/// artifact's host, not a host-independent bound.
 pub const GATE_K8_FLOOR_ITEMS_PER_SEC: f64 = 535.4e6;
 
 /// Tuning knobs for one scaling run.
@@ -78,11 +80,6 @@ pub struct ScalingConfig {
     /// Iterations for the pool-dispatch comparison (spawn-per-batch —
     /// fewer, because each iteration pays k thread spawns).
     pub spawn_iters: usize,
-    /// Deferred-downsampling drift threshold θ applied to every R-TBS
-    /// engine row (1.0 = eager). At high K the per-shard reservoir sits
-    /// below saturation, and without deferral every batch pays the full
-    /// `O(n_k)` downsample sweep — the K = 32 tail.
-    pub rtbs_defer_threshold: f64,
     /// Shard-group threshold for the saturated R-TBS rows (0 =
     /// ungrouped): once `⌈n/G⌉` drops below it, worker threads share
     /// fewer reservoir cells so per-batch fixed costs scale with G, not
@@ -111,7 +108,6 @@ impl Default for ScalingConfig {
             shard_counts: vec![1, 2, 4, 8, 16, 32, 64],
             dispatch_iters: 2_000,
             spawn_iters: 300,
-            rtbs_defer_threshold: 0.01,
             rtbs_group_threshold_saturated: 48,
             rtbs_group_threshold_bursty: 24,
         }
@@ -130,7 +126,6 @@ impl ScalingConfig {
             shard_counts: vec![1, 2],
             dispatch_iters: 20,
             spawn_iters: 5,
-            rtbs_defer_threshold: 0.01,
             rtbs_group_threshold_saturated: 48,
             rtbs_group_threshold_bursty: 24,
         }
@@ -406,14 +401,12 @@ pub fn run_scaling(cfg: &ScalingConfig) -> Vec<ScalingRow> {
     for regime in [Regime::Saturated, Regime::Bursty] {
         rows.push(measure_single_fast(cfg, SamplerKind::RTbs, regime));
         for &k in &cfg.shard_counts {
-            // R-TBS rows carry the tail-flattening knobs: lazy θ makes
-            // the unsaturated per-shard regime at high K O(1)-amortized
-            // per batch, and the group threshold collapses K workers
-            // onto G < K cells once the per-cell share gets small
-            // relative to the regime's per-batch arrivals (per-regime
-            // thresholds — see the `ScalingConfig` field docs).
+            // R-TBS rows carry the tail-flattening knob: the group
+            // threshold collapses K workers onto G < K cells once the
+            // per-cell share gets small relative to the regime's
+            // per-batch arrivals (per-regime thresholds — see the
+            // `ScalingConfig` field docs).
             let spec = ShardSpec::rtbs(regime.lambda(), regime.capacity(), k)
-                .with_defer_threshold(cfg.rtbs_defer_threshold)
                 .with_group_threshold(cfg.rtbs_group_threshold(regime));
             let seed = cfg.seed.wrapping_add((k as u64) << 8 | regime as u64);
             rows.push(measure_engine::<RTbs<u64>>(
@@ -456,9 +449,8 @@ fn summary(rows: &[ScalingRow]) -> Json {
     // The scaling gate: the saturated R-TBS aggregate at K = 8 must
     // clear twice the committed pre-fix row (the 8-shard-cliff fix),
     // K = 16 must not regress below K = 8, and K = 32 must not regress
-    // below K = 16 (the flattened-tail fix: batch-granular downsampling
-    // plus shard groups). Sweeps without all three rows (smoke) carry
-    // no verdict.
+    // below K = 16 (the flattened-tail fix: shard groups). Sweeps
+    // without all three rows (smoke) carry no verdict.
     let eight = find("engine", 8);
     let sixteen = find("engine", 16);
     let thirty_two = find("engine", 32);
@@ -651,7 +643,6 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
                     ),
                 ),
                 ("item_type", Json::str("u64")),
-                ("rtbs_defer_threshold", Json::Num(cfg.rtbs_defer_threshold)),
                 (
                     "rtbs_group_threshold_saturated",
                     Json::Int(cfg.rtbs_group_threshold_saturated as i64),
@@ -685,8 +676,8 @@ pub fn rows_to_json(cfg: &ScalingConfig, rows: &[ScalingRow], pool: &[PoolDispat
                     "items_per_sec_aggregate",
                     Json::str(
                         "Σ_k items_k/busy_k over shards; busy = time inside observe \
-                         (hardware-independent engine capacity — equals wall rate on a \
-                         host with ≥ K free cores)",
+                         (engine capacity independent of core count but not of per-core \
+                         speed — equals wall rate on a host with ≥ K free cores)",
                     ),
                 ),
             ]),

@@ -12,7 +12,7 @@
 //! ## Metrics and the acceptance gate
 //!
 //! Ingest is reported with the same two throughput metrics as the scaling
-//! bench (`items_per_sec_wall`, and the hardware-independent
+//! bench (`items_per_sec_wall`, and the core-count-independent
 //! `items_per_sec_aggregate` = Σ_k items_k/busy_k — on the single-core CI
 //! container wall-clock parallel speedup is physically impossible, so the
 //! busy-time metric is the comparable signal). **Snapshot overhead is
@@ -563,7 +563,8 @@ pub fn rows_to_json(cfg: &ServingConfig, rows: &[ServingRow], poll: (f64, f64)) 
                     Json::str(
                         "Σ_k items_k/busy_k over shards; busy = time inside observe \
                          calls plus barrier forks, so snapshot overhead is charged \
-                         to ingest (hardware-independent serving-capacity signal)",
+                         to ingest (serving capacity independent of core count, not of \
+                         per-core speed)",
                     ),
                 ),
                 (

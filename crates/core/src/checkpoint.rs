@@ -17,9 +17,7 @@
 //!
 //! The codec lives here (not in `tbs-distributed`, its pre-PR-4 home) so
 //! the core samplers can serialize themselves without the core crate
-//! depending on the distributed substrate. This module is the canonical
-//! import path; the `tbs_distributed::checkpoint` re-export shim is
-//! deprecated and hidden from the docs.
+//! depending on the distributed substrate.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -45,7 +43,12 @@ pub const MAGIC: u32 = 0x5442_5343; // "TBSC"
 ///   shard-group ledger (logical cell count `G ≤ K`). v3 blobs are
 ///   rejected with [`CheckpointError::UnsupportedVersion`] rather than
 ///   misparsed.
-pub const VERSION: u32 = 4;
+/// * 5 — R-TBS payloads drop the batch-granular downsampling state (θ,
+///   `P`, deferred segments and arrivals): R-TBS downsamples eagerly on
+///   every batch, so the payload ends with the latent sample. v4 blobs
+///   are rejected with [`CheckpointError::UnsupportedVersion`] rather
+///   than misparsed.
+pub const VERSION: u32 = 5;
 
 /// Errors raised when decoding a checkpoint blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -478,14 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn rejects_future_version() {
-        let mut w = BytesMut::new();
-        w.put_u32_le(MAGIC);
-        w.put_u32_le(99);
-        assert_eq!(
-            Reader::new(w.freeze()).unwrap_err(),
-            CheckpointError::UnsupportedVersion(99)
-        );
+    fn rejects_unsupported_versions() {
+        // v4 R-TBS payloads carry θ, P and deferred segments that v5 no
+        // longer reads; like a future version, they are refused up front.
+        assert_eq!(VERSION, 5);
+        for version in [4, 99] {
+            let mut w = BytesMut::new();
+            w.put_u32_le(MAGIC);
+            w.put_u32_le(version);
+            assert_eq!(
+                Reader::new(w.freeze()).unwrap_err(),
+                CheckpointError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

@@ -109,11 +109,6 @@ pub struct ShardSpec {
     /// algebra unchanged: it alters only *how* each shard spends
     /// randomness per batch, not the shard-state law the merge relies on.
     pub ingest: IngestMode,
-    /// Batch-granular downsampling drift threshold θ ∈ (0, 1] applied to
-    /// every shard-local R-TBS (see [`RTbs::set_defer_threshold`]); 1.0
-    /// (the default) keeps the eager per-step downsample. Ignored by
-    /// T-TBS, which has no latent downsample to defer.
-    pub defer_threshold: f64,
     /// Shard-group threshold: when the per-cell reservoir share
     /// `⌈n/G⌉` would fall below this bound, shard threads are grouped
     /// onto fewer shared *cells* (reservoirs) — `G` starts at `shards`
@@ -132,7 +127,6 @@ impl ShardSpec {
             shards,
             mean_batch: 0.0,
             ingest: IngestMode::PerItem,
-            defer_threshold: 1.0,
             group_threshold: 0,
         }
     }
@@ -145,7 +139,6 @@ impl ShardSpec {
             shards,
             mean_batch,
             ingest: IngestMode::PerItem,
-            defer_threshold: 1.0,
             group_threshold: 0,
         }
     }
@@ -154,13 +147,6 @@ impl ShardSpec {
     /// [`IngestMode::PerItem`]).
     pub fn with_ingest_mode(mut self, mode: IngestMode) -> Self {
         self.ingest = mode;
-        self
-    }
-
-    /// Enable batch-granular downsampling on every shard-local R-TBS with
-    /// drift threshold `theta ∈ (0, 1]` (default 1.0 = eager).
-    pub fn with_defer_threshold(mut self, theta: f64) -> Self {
-        self.defer_threshold = theta;
         self
     }
 
@@ -218,12 +204,6 @@ impl ShardSpec {
             self.cells() == 1 || self.lambda > 0.0,
             "sharded sampling requires λ > 0: the skew headroom 1/(1−e^{{−λ}}) \
              diverges at λ = 0 (use a single shard for undecayed sampling)"
-        );
-        assert!(
-            self.defer_threshold.is_finite()
-                && self.defer_threshold > 0.0
-                && self.defer_threshold <= 1.0,
-            "defer threshold must lie in (0, 1]"
         );
     }
 }
@@ -645,7 +625,6 @@ impl<T: Clone> MergeableSample for RTbs<T> {
             .map(|_| {
                 let mut s = RTbs::new(spec.lambda, n_k);
                 s.set_ingest_mode(spec.ingest);
-                s.set_defer_threshold(spec.defer_threshold);
                 s
             })
             .collect()
@@ -682,10 +661,6 @@ impl<T: Clone> MergeableSample for RTbs<T> {
     }
 
     fn merge_leaf(mut self, target: f64, rng: &mut Xoshiro256PlusPlus) -> Self {
-        // A fork taken mid-deferral materializes on the leaf's own
-        // substream (the live shard keeps its pending state untouched);
-        // no-op consuming no randomness when nothing is deferred.
-        self.materialize_deferred(rng);
         if target > 0.0 && target < self.sample_weight() {
             crate::downsample::downsample(self.latent_mut(), target, rng);
         }
@@ -895,50 +870,6 @@ mod tests {
         // Threshold met exactly at K: no grouping.
         let spec = ShardSpec::rtbs(0.1, 96, 4).with_group_threshold(24);
         assert_eq!(spec.cells(), 4);
-    }
-
-    /// A latent sample tagged from `base`: ⌊w⌋ full items plus a partial
-    /// (`base + 99`) when `w` is fractional.
-    fn raw_with_weight(base: u32, w: f64) -> LatentSample<u32> {
-        let full: Vec<u32> = (base..base + w.floor() as u32).collect();
-        let partial = (w.fract() > 0.0).then_some(base + 99);
-        LatentSample::from_raw_parts(full, partial, w)
-    }
-
-    #[test]
-    fn absorb_matches_merge_latent_bit_for_bit() {
-        // `LatentSample::absorb` (the deferred-downsample union) must be
-        // draw-for-draw identical to the merge tree's `merge_latent` —
-        // same RNG consumption, same structure — across every candidate
-        // configuration: 0/1/2 partials, promotion and no-promotion.
-        let weights = [2.0f64, 2.7, 2.2, 1.6, 1.3, 0.4, 0.9, 3.0, 1.0];
-        for (i, &w1) in weights.iter().enumerate() {
-            for (j, &w2) in weights.iter().enumerate() {
-                for seed in 0..10u64 {
-                    let seed = 1000 + seed + (i * weights.len() + j) as u64 * 100;
-                    let mut rng_m = Xoshiro256PlusPlus::seed_from_u64(seed);
-                    let mut rng_a = Xoshiro256PlusPlus::seed_from_u64(seed);
-
-                    let mut acc_m = raw_with_weight(0, w1);
-                    let inc_m = raw_with_weight(100, w2);
-                    merge_latent(&mut acc_m, inc_m, &mut rng_m);
-
-                    let mut acc_a = raw_with_weight(0, w1);
-                    let mut inc_a = raw_with_weight(100, w2);
-                    acc_a.absorb(&mut inc_a, &mut rng_a);
-
-                    assert_eq!(
-                        acc_m.full_items(),
-                        acc_a.full_items(),
-                        "({w1}, {w2}) seed {seed}: full items diverged"
-                    );
-                    assert_eq!(acc_m.partial_item(), acc_a.partial_item());
-                    assert_eq!(acc_m.weight().to_bits(), acc_a.weight().to_bits());
-                    // Same number of draws: the streams stay in lockstep.
-                    assert_eq!(rng_m.gen::<u64>(), rng_a.gen::<u64>());
-                }
-            }
-        }
     }
 
     #[test]

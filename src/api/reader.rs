@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 use tbs_core::frozen::FrozenSample;
-use tbs_distributed::snapshot::{EpochCell, EpochWait, EpochWaitFuture};
+use tbs_distributed::snapshot::{EpochCell, EpochWait};
 
 /// A clonable, thread-safe handle reading epoch-published samples; see
 /// the [`crate::api`] module docs and [`crate::api::Sampler::reader`].
@@ -121,13 +121,6 @@ impl<T> SampleReader<T> {
             self.cached = Some(Arc::clone(frozen));
         }
         wait
-    }
-
-    /// An owned future resolving like [`SampleReader::poll_epoch`] (it
-    /// does not update this handle's cache; poll through the handle when
-    /// you want that).
-    pub fn wait_for_epoch_owned(&self, epoch: u64) -> EpochWaitFuture<T> {
-        self.cell.wait_for_epoch_owned(epoch)
     }
 
     /// Highest epoch published so far (0 before the first publication) —

@@ -135,9 +135,6 @@ fn engine_config(config: &SamplerConfig) -> EngineConfig {
         _ => unreachable!("validate rejects sharded non-mergeable algorithms"),
     }
     .with_ingest_mode(core_ingest_mode(config))
-    // validate() pins θ to 1.0 for anything but R-TBS, so applying both
-    // knobs unconditionally is safe for T-TBS specs.
-    .with_defer_threshold(config.defer_threshold)
     .with_group_threshold(config.group_threshold);
     EngineConfig {
         spec,
@@ -186,7 +183,6 @@ impl<T: Clone + Send + Sync + 'static> Sampler<T> {
                 Algorithm::RTbs => {
                     let mut s = RTbs::new(lambda, config.capacity.expect("validated"));
                     s.set_ingest_mode(core_ingest_mode(&config));
-                    s.set_defer_threshold(config.defer_threshold);
                     Inner::RTbs(s)
                 }
                 Algorithm::TTbs => {
@@ -666,9 +662,6 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
                         if s.capacity() != spec.shard_capacity() {
                             return Err(CheckpointError::Corrupt("shard capacity"));
                         }
-                        if s.defer_threshold() != spec.defer_threshold {
-                            return Err(CheckpointError::Corrupt("shard defer threshold"));
-                        }
                         s.set_ingest_mode(spec.ingest);
                         Ok(s)
                     })?;
@@ -705,14 +698,6 @@ impl<T: Wire + Send + Sync + 'static> Sampler<T> {
                     let mut s = RTbs::load_state(&mut r)?;
                     check(s.decay_rate() == lambda, "decay rate")?;
                     check(Some(s.capacity()) == config.capacity, "capacity")?;
-                    // θ shapes the RNG spend schedule, so a blob written
-                    // under a different threshold cannot be resumed
-                    // bit-identically — it is a config mismatch, not a
-                    // knob to silently re-apply like the ingest mode.
-                    check(
-                        s.defer_threshold() == config.defer_threshold,
-                        "defer threshold",
-                    )?;
                     s.set_ingest_mode(core_ingest_mode(config));
                     Inner::RTbs(s)
                 }

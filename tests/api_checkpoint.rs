@@ -52,15 +52,11 @@ fn all_configs() -> Vec<SamplerConfig> {
     );
     configs.push(SamplerConfig::ttbs(0.1, 20, 50.0).ingest_mode(IngestMode::Jump));
     configs.push(SamplerConfig::ttbs(0.1, 300, 50.0).ingest_mode(IngestMode::Jump));
-    // Deferred-downsampling and shard-group variants: the lazy scale,
-    // its parked segments, and the cell-sized engine framing all ride
-    // the blob. n=800 stays unsaturated so cuts land mid-deferral.
-    configs.push(SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6));
-    configs.push(
-        SamplerConfig::rtbs(0.1, 800)
-            .shards(4)
-            .defer_threshold(1e-6),
-    );
+    // Unsaturated (n=800, so every cut carries a fractional latent
+    // sample) and shard-group variants: the partial item and the
+    // cell-sized engine framing ride the blob.
+    configs.push(SamplerConfig::rtbs(0.1, 800));
+    configs.push(SamplerConfig::rtbs(0.1, 800).shards(4));
     configs.push(SamplerConfig::rtbs(0.1, 200).shards(4).group_threshold(60));
     configs
 }
@@ -157,15 +153,15 @@ proptest! {
 }
 
 /// One config per distinct payload layout, for the hostile-blob tests:
-/// latent sample (R-TBS), mid-deferral lazy-scale tail (R-TBS v4), plain
-/// item vecs (T-TBS), per-entry scalars (A-Res keys, B-Chao overweight
+/// latent sample (R-TBS, saturated and unsaturated), plain item vecs
+/// (T-TBS), per-entry scalars (A-Res keys, B-Chao overweight
 /// weights, time-window stamps), ring buffer (SW), and the multi-shard
 /// engine framing — plain and shard-grouped.
 fn hostile_blob_configs() -> Vec<SamplerConfig> {
     vec![
         SamplerConfig::rtbs(0.1, 20).seed(3),
         SamplerConfig::rtbs(0.1, 40).shards(2).seed(3),
-        SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6).seed(3),
+        SamplerConfig::rtbs(0.1, 800).seed(3),
         SamplerConfig::rtbs(0.1, 40)
             .shards(4)
             .group_threshold(30)
@@ -396,62 +392,6 @@ fn mismatched_group_ledger_is_rejected_as_corrupt() {
     assert_eq!(
         Sampler::<u64>::restore(&ungrouped, blob).unwrap_err(),
         TbsError::Checkpoint(CheckpointError::Corrupt("shard group ledger"))
-    );
-}
-
-#[test]
-fn impossible_lazy_scale_is_rejected_as_corrupt() {
-    // Capacity 20 saturates within the first batch, so no deferral is
-    // pending at the snapshot and the R-TBS v4 tail is exactly
-    // θ (f64), P (f64), segment count (u64 = 0), pending count (u32 = 0)
-    // — 28 bytes. Forge P above 1: no decay sequence can produce it.
-    let config = SamplerConfig::rtbs(0.1, 20).defer_threshold(0.5).seed(3);
-    let mut b = small_snapshot(&config).to_vec();
-    let n = b.len();
-    b[n - 20..n - 12].copy_from_slice(&1.5f64.to_le_bytes());
-    assert_eq!(
-        Sampler::<u64>::restore(&config, Bytes::from(b)).unwrap_err(),
-        TbsError::Checkpoint(CheckpointError::Corrupt("R-TBS lazy scale"))
-    );
-    // And P below θ: materialization must have fired before the scale
-    // ever drifted past the threshold.
-    let mut b = small_snapshot(&config).to_vec();
-    b[n - 20..n - 12].copy_from_slice(&0.25f64.to_le_bytes());
-    assert_eq!(
-        Sampler::<u64>::restore(&config, Bytes::from(b)).unwrap_err(),
-        TbsError::Checkpoint(CheckpointError::Corrupt("R-TBS lazy scale"))
-    );
-}
-
-#[test]
-fn mid_deferral_resume_is_bit_identical() {
-    // λ=0.1, n=800, mean batch ~50: the stream stays unsaturated, so
-    // with θ=1e-6 every cut lands mid-deferral — the lazy scale and the
-    // parked segments ride the blob verbatim and resume without
-    // spending any randomness.
-    let lazy = SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6);
-    for cut in [1, 3, 9, 17, 30] {
-        assert_resume_bit_identical(lazy, 0xdefe_44ed, 36, cut);
-    }
-    // Sharded: each cell carries its own deferral window in the blob.
-    let sharded = lazy.shards(4);
-    for cut in [2, 11, 23] {
-        assert_resume_bit_identical(sharded, 0xdefe_44ed, 36, cut);
-    }
-}
-
-#[test]
-fn defer_threshold_mismatch_is_rejected() {
-    // θ shapes the RNG spend schedule, so restoring under a different
-    // threshold cannot continue the stream bit-identically.
-    let written = SamplerConfig::rtbs(0.1, 800).defer_threshold(1e-6).seed(7);
-    let blob = small_snapshot(&written);
-    let other = written.defer_threshold(0.5);
-    assert_eq!(
-        Sampler::<u64>::restore(&other, blob).unwrap_err(),
-        TbsError::ConfigMismatch {
-            what: "defer threshold"
-        }
     );
 }
 

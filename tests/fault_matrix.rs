@@ -154,9 +154,11 @@ fn fail_policy_surfaces_typed_errors_through_the_facade() {
 fn model_manager_does_not_count_a_rejected_batch() {
     // A batch the failed engine refused is not ingested: the manager's
     // counters and error statistics must not move on the failing call.
-    // The policy never refits within the stream, so every engine call
-    // is an ingest and the death surfaces there (once shard 1's closed
-    // queue refuses a chunk).
+    // The policy refits after every batch, so shard 1 can die while a
+    // refit waits in the untimed `wait_for_epoch` for a fork part it
+    // will never send. Under `Fail` the dying shard closes the merger,
+    // which closes the epoch cell: the refit returns `None` instead of
+    // hanging, and the death surfaces as a typed error.
     use tbs_server::service::NoModel;
     use temporal_sampling::api::{ModelManager, RetrainPolicy};
 
@@ -167,7 +169,7 @@ fn model_manager_does_not_count_a_rejected_batch() {
         .recovery_policy(RecoveryPolicy::Fail)
         .build_with_fault_plan::<u64>(Arc::new(FaultPlan::new().kill_worker(1, 8)))
         .expect("valid faulted config");
-    let mut mgr = ModelManager::new(sampler, NoModel, RetrainPolicy::Periodic(u64::MAX));
+    let mut mgr = ModelManager::new(sampler, NoModel, RetrainPolicy::EveryBatch);
     for t in 0..10_000 {
         let before = *mgr.metrics();
         if let Err(e) = mgr.ingest(batch_at(t)) {
